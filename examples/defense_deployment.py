@@ -18,7 +18,7 @@ from repro.defense import CumulantDetector, calibrate_threshold
 from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
-    transmit_once,
+    transmit_batch,
 )
 from repro.experiments.defense_common import defense_receiver
 from repro.utils.rng import spawn_rngs
@@ -28,11 +28,11 @@ def gather(prepared, receiver, detector, snrs, count, rng):
     """Collect D_E^2 statistics over noisy receptions."""
     values = []
     rngs = spawn_rngs(rng, len(snrs) * count)
-    i = 0
-    for snr in snrs:
-        for _ in range(count):
-            packet = transmit_once(prepared, receiver, snr, rngs[i])
-            i += 1
+    for i, snr in enumerate(snrs):
+        packets = transmit_batch(
+            prepared, receiver, snr, rngs[i * count:(i + 1) * count]
+        )
+        for packet in packets:
             if packet is None or not packet.decoded:
                 continue
             chips = packet.diagnostics.psdu_quadrature_soft_chips

@@ -19,7 +19,7 @@ from repro.defense.mlbaseline import LogisticDetector, feature_vector
 from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
-    transmit_once,
+    transmit_batch,
 )
 from repro.experiments.defense_common import defense_receiver
 from repro.utils.rng import spawn_rngs
@@ -34,9 +34,11 @@ def gather(per_class, snrs, seed):
     index = 0
     for snr in snrs:
         for label, link in prepared.items():
-            for _ in range(per_class):
-                packet = transmit_once(link, receiver, snr, rngs[index])
-                index += 1
+            packets = transmit_batch(
+                link, receiver, snr, rngs[index:index + per_class]
+            )
+            index += per_class
+            for packet in packets:
                 if packet is None or not packet.decoded:
                     continue
                 chips = packet.diagnostics.psdu_quadrature_soft_chips

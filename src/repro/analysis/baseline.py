@@ -1,6 +1,6 @@
 """The ``--baseline`` ratchet: adopt existing violations, fail on new.
 
-New strict rules (R008-R011 especially) can surface dozens of
+New strict rules (R009-R011 especially) can surface dozens of
 violations in a codebase that was clean under the old rule set.  The
 ratchet lets such rules land blocking immediately: ``--write-baseline``
 records the current violations into ``reprolint-baseline.json``, and

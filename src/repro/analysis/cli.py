@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the Hide-and-Seek "
             "reproduction: determinism, picklability, telemetry "
-            "discipline, and whole-program batch/schema/counter parity "
+            "discipline, and whole-program dtype/schema/counter checks "
             "(rules R001-R012, see docs/STATIC_ANALYSIS.md)"
         ),
     )

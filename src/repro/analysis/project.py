@@ -1,10 +1,10 @@
 """Whole-program facts: module summaries, symbol table, call graph, taint.
 
 The per-module rules in :mod:`repro.analysis.rules` see one file at a
-time, but the invariants introduced by the batched engine and the
-telemetry plane are inherently *cross-module*: a ``*_batch`` kernel in
-``repro.zigbee`` pairs with a scalar twin and a differential test in
-``tests/``; an ``emit(...)`` site in a sweep driver must agree with the
+time, but the invariants introduced by the engine and the telemetry
+plane are inherently *cross-module*: a kernel in ``repro.zigbee`` is
+trial-reachable only through a trial registered in a sweep driver; an
+``emit(...)`` site in a sweep driver must agree with the
 schema declared in ``repro.telemetry.events``; a counter incremented in
 ``repro.experiments.engine`` must appear in the OBSERVABILITY.md
 catalogue.  This module extracts from each file a compact, **JSON-
@@ -23,14 +23,14 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import SuppressionIndex
 
 #: Bumped whenever summary extraction changes shape or meaning; part of
 #: the cache key, so an analyzer upgrade invalidates stale summaries.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: numpy array constructors whose default dtype is float64.
 FLOAT_DEFAULT_ALLOCATORS = ("zeros", "empty", "ones", "full")
@@ -86,12 +86,8 @@ class ModuleSummary:
             the import alias map where possible, otherwise the bare
             attribute/function basename (``""`` keys are module level).
         trial_roots: names registered as engine trial callables via
-            ``session.run(trial, ...)``, resolved through imports.
-        batch_defs: declared batch kernels/trials — each ``{"qualname",
-            "name", "owner", "line", "col", "kind"}`` where ``kind`` is
-            ``"suffix"`` (``*_batch`` naming) or ``"trial"``
-            (``@batch_trial``).
-        scalar_pairs: explicit ``X.scalar_counterpart = Y`` declarations.
+            ``session.run(trial, ...)`` or ``StreamSpec(trial=...)``,
+            resolved through imports.
         defined_names: ``owner ("" or class name) -> [function names]``.
         references: every Name/Attribute basename the module mentions.
         counters: telemetry counter increments — ``{"name", "line",
@@ -120,8 +116,6 @@ class ModuleSummary:
         self.functions: Dict[str, Dict[str, Any]] = {}
         self.calls: Dict[str, List[str]] = {}
         self.trial_roots: List[str] = []
-        self.batch_defs: List[Dict[str, Any]] = []
-        self.scalar_pairs: Dict[str, str] = {}
         self.defined_names: Dict[str, List[str]] = {}
         self.references: List[str] = []
         self.counters: List[Dict[str, Any]] = []
@@ -135,7 +129,7 @@ class ModuleSummary:
 
     _FIELDS = (
         "path", "module_name", "is_test", "is_library", "functions",
-        "calls", "trial_roots", "batch_defs", "scalar_pairs",
+        "calls", "trial_roots",
         "defined_names", "references", "counters", "emits",
         "dtype_candidates", "event_schema", "event_emitters",
         "suppressions",
@@ -419,13 +413,6 @@ class _SummaryVisitor(ast.NodeVisitor):
         self._scope.pop()
         self._class.pop()
 
-    def _is_batch_trial_decorated(self, node: ast.AST) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if self.module.basename(target) == "batch_trial":
-                return True
-        return False
-
     def _visit_function(self, node: ast.AST) -> None:
         self._scope.append(node.name)
         qualname = self._qualname
@@ -436,18 +423,6 @@ class _SummaryVisitor(ast.NodeVisitor):
             "name": node.name,
         }
         self.summary.defined_names.setdefault(owner, []).append(node.name)
-        is_trial = self._is_batch_trial_decorated(node)
-        if is_trial or node.name.endswith("_batch"):
-            self.summary.batch_defs.append({
-                "qualname": qualname,
-                "name": node.name,
-                "owner": owner,
-                "line": node.lineno,
-                "col": node.col_offset + 1,
-                "kind": "trial" if is_trial else "suffix",
-            })
-        if is_trial:
-            self.summary.trial_roots.append(node.name)
         if self.summary.is_library:
             checker = _DtypeChecker(
                 self.module, qualname, self.summary.dtype_candidates
@@ -466,15 +441,6 @@ class _SummaryVisitor(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if not self._scope:
-            # X.scalar_counterpart = Y pairs a batch kernel explicitly.
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr == "scalar_counterpart"
-                    and isinstance(target.value, ast.Name)
-                    and isinstance(node.value, ast.Name)
-                ):
-                    self.summary.scalar_pairs[target.value.id] = node.value.id
             # EVENT_SCHEMAS = {...literal...} is the central schema.
             for target in node.targets:
                 if (
@@ -511,15 +477,23 @@ class _SummaryVisitor(ast.NodeVisitor):
             self.summary.calls.setdefault(self._qualname, []).append(callee)
 
     def _record_trial_registration(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute) or node.func.attr != "run":
-            return
-        if not _is_engine_session_receiver(node.func.value):
-            return
-        trial = node.args[0] if node.args else None
-        if trial is None:
+        """Roots: ``session.run(trial, ...)`` and ``StreamSpec(trial=...)``."""
+        trial: Optional[ast.expr] = None
+        if self.module.basename(node.func) == "StreamSpec":
+            # The sweep runner hands a stream's trial to the engine.
             for keyword in node.keywords:
                 if keyword.arg == "trial":
                     trial = keyword.value
+        elif (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run"
+            and _is_engine_session_receiver(node.func.value)
+        ):
+            trial = node.args[0] if node.args else None
+            if trial is None:
+                for keyword in node.keywords:
+                    if keyword.arg == "trial":
+                        trial = keyword.value
         if isinstance(trial, ast.Name):
             resolved = self.module.imports.get(trial.id, trial.id)
             self.summary.trial_roots.append(resolved)
@@ -766,9 +740,9 @@ class ProjectIndex:
     def trial_reachable(self) -> Set[str]:
         """Full names of functions reachable from engine trial roots.
 
-        Roots are ``@batch_trial``-decorated functions and every
-        callable registered through ``session.run(trial, ...)``;
-        edges over-approximate dynamic dispatch by matching method
+        Roots are every callable registered through
+        ``session.run(trial, ...)`` or declared as
+        ``StreamSpec(trial=...)``; edges over-approximate dynamic dispatch by matching method
         callees on their basename.
         """
         if self._reachable is not None:
@@ -859,32 +833,3 @@ def _load_external_summary(path: str) -> Optional[ModuleSummary]:
     except (OSError, SyntaxError, UnicodeDecodeError):
         return None
     return summarize_module(ModuleContext(path, source, tree))
-
-
-def iter_batch_pairs(
-    summary: ModuleSummary,
-) -> Iterator[Tuple[Dict[str, Any], Optional[str]]]:
-    """Each batch def with its resolved scalar counterpart name (or None).
-
-    Resolution order: an explicit ``X.scalar_counterpart = Y``
-    declaration, then same-scope name conventions — ``foo`` /
-    ``foo_once`` for ``foo_batch``, and the public ``foo`` for a
-    private ``_foo_batch``.
-    """
-    for batch in summary.batch_defs:
-        name = batch["name"]
-        explicit = summary.scalar_pairs.get(name)
-        scope_names = set(summary.defined_names.get(batch["owner"], ()))
-        if explicit is not None:
-            yield batch, explicit if explicit in scope_names else explicit
-            continue
-        if not name.endswith("_batch"):
-            yield batch, None
-            continue
-        stem = name[: -len("_batch")]
-        for candidate in (stem, stem + "_once", stem.lstrip("_")):
-            if candidate and candidate != name and candidate in scope_names:
-                yield batch, candidate
-                break
-        else:
-            yield batch, None

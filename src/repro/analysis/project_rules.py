@@ -1,9 +1,9 @@
-"""Cross-module rules R008-R011 over the whole-program ProjectIndex.
+"""Cross-module rules R009-R011 over the whole-program ProjectIndex.
 
 The per-file rules in :mod:`repro.analysis.rules` uphold invariants a
 single module can prove about itself.  The conventions introduced by
-the batched engine and the telemetry plane span files: a ``*_batch``
-kernel pairs with a scalar twin and a differential test elsewhere, an
+the engine and the telemetry plane span files: a kernel's dtype
+discipline matters only where an engine trial reaches it, an
 ``emit(...)`` site must agree with the schema declared in
 ``repro.telemetry.events``, and every counter incremented anywhere must
 appear in the OBSERVABILITY.md catalogue.  Rules here declare
@@ -21,11 +21,7 @@ from typing import Any, Dict, Iterator, List, Set
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.project import (
-    ModuleSummary,
-    ProjectIndex,
-    iter_batch_pairs,
-)
+from repro.analysis.project import ModuleSummary, ProjectIndex
 from repro.analysis.registry import rule
 
 
@@ -55,90 +51,11 @@ def _diag(
 
 
 @rule
-class BatchScalarParity(ProjectRule):
-    """R008: every batch kernel pairs with a scalar twin and a test.
-
-    The batched fast path's bit-identity guarantee is only checkable
-    while both halves of each pair exist and a differential test under
-    ``tests/`` exercises them.  A ``*_batch`` function (or any
-    ``@batch_trial`` function) must resolve a scalar counterpart —
-    same-scope ``foo``/``foo_once`` naming, or an explicit module-level
-    ``foo_batch.scalar_counterpart = foo`` declaration — and, for
-    public kernels and all batch trials, both names must be referenced
-    from at least one test module.
-    """
-
-    code = "R008"
-    name = "batch-scalar-parity"
-    rationale = (
-        "a batch kernel without a scalar twin and a differential test "
-        "has an unverifiable bit-identity claim"
-    )
-
-    def _names_defined(self, summary: ModuleSummary) -> Set[str]:
-        names: Set[str] = set()
-        for defined in summary.defined_names.values():
-            names.update(defined)
-        return names
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
-        have_tests = bool(index.test_summaries)
-        test_refs = index.test_references
-        for summary in index.library_summaries:
-            local_names = self._names_defined(summary)
-            for batch, counterpart in iter_batch_pairs(summary):
-                line, col = batch["line"], batch["col"]
-                name = batch["name"]
-                if counterpart is None:
-                    hint = (
-                        "define the scalar twin in the same scope or "
-                        "declare it via "
-                        f"'{name}.scalar_counterpart = <fn>'"
-                    )
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch function '{name}' has no resolvable "
-                        f"scalar counterpart; {hint}",
-                    )
-                    continue
-                if counterpart not in local_names and not (
-                    index.summaries and counterpart in {
-                        qual.rsplit(".", 1)[-1]
-                        for other in index.summaries
-                        for qual in other.functions
-                    }
-                ):
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch function '{name}' declares scalar "
-                        f"counterpart '{counterpart}' which is not "
-                        f"defined anywhere in the analyzed project",
-                    )
-                    continue
-                needs_test = batch["kind"] == "trial" or not name.startswith("_")
-                if not (have_tests and needs_test):
-                    continue
-                missing = [
-                    ref for ref in (name, counterpart)
-                    if ref not in test_refs
-                ]
-                if missing:
-                    yield _diag(
-                        summary, line, col, self.code,
-                        f"batch/scalar pair '{name}'/'{counterpart}' is "
-                        f"not exercised by any test under tests/ "
-                        f"(unreferenced: {', '.join(missing)}); add a "
-                        f"differential test pinning bit-identity",
-                    )
-
-
-@rule
 class DtypePromotionHygiene(ProjectRule):
     """R009: dtype discipline on paths reachable from engine trials.
 
     Implicit float64 defaults and silent complex promotion are the
-    classic way batched kernels drift from their scalar twins by one
-    ULP.  The per-file summarizer records every suspicious site
+    classic way a kernel's rows drift by one ULP with the batch shape.  The per-file summarizer records every suspicious site
     (dtype-less ``np.zeros``/``np.asarray`` feeding receive-chain
     kernels, complex stores into real buffers, complex64/complex128
     mixing); this rule promotes a site to a violation only when the
@@ -150,7 +67,7 @@ class DtypePromotionHygiene(ProjectRule):
     name = "dtype-promotion-hygiene"
     rationale = (
         "implicit dtype promotion on trial-reachable paths silently "
-        "breaks the batched/scalar bit-identity contract"
+        "breaks the rows' bit-identity across chunk sizes"
     )
 
     def check_project(self, index: ProjectIndex) -> Iterator[Diagnostic]:
@@ -346,7 +263,6 @@ def run_project_rules(
 
 # Re-exported for rule authors writing fixtures.
 __all__ = [
-    "BatchScalarParity",
     "CounterCatalogue",
     "DtypePromotionHygiene",
     "EventSchemaDiscipline",

@@ -6,7 +6,7 @@ once, runs every module-scope rule, and extracts a
 content-hash cached under ``--cache-dir`` and can fan out across a
 process pool (``--jobs``).  The **project phase** assembles the
 summaries into a :class:`~repro.analysis.project.ProjectIndex` and runs
-the cross-module rules (R008-R011) over it; each resulting diagnostic
+the cross-module rules (R009-R011) over it; each resulting diagnostic
 is filtered against the suppression comments of the file it *anchors*
 in — which for a cross-module rule may not be the file that triggered
 the analysis.
@@ -39,7 +39,7 @@ from repro.analysis.project import (
     summarize_module,
     suppression_index,
 )
-from repro.analysis.project_rules import (  # noqa: F401 - registers R008-R011
+from repro.analysis.project_rules import (  # noqa: F401 - registers R009-R011
     module_rules,
     project_rules,
     run_project_rules,

@@ -76,11 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="trial-failure policy for engine-backed "
                           "experiments: raise (default), retry with the "
                           "same seed, or skip and record the failure")
-    run.add_argument("--no-batch", action="store_true",
-                     help="force the scalar per-trial path for "
-                          "engine-backed experiments instead of the "
-                          "vectorized batched receive chain (results are "
-                          "bit-identical either way at a seed)")
     run.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                      help="persist each completed sweep point atomically "
                           "under DIR so an interrupted run can resume")
@@ -141,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: min(4, host CPUs))")
     bench.add_argument("--chunk-size", type=int, default=None)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--no-batch", action="store_true",
-                       help="skip the scalar-vs-batched comparison and "
-                            "bench only the scalar path")
     bench.add_argument("--no-adaptive", action="store_true",
                        help="skip the adaptive precision-targeted leg")
     bench.add_argument("--out", default=None,
@@ -274,19 +266,27 @@ def _generate_report(out: str, trials: Optional[int], seed: int) -> None:
 
 
 def _generate_dataset(out: str, per_class: int, snrs, seed: int) -> None:
-    """Labelled constellations: authentic (0) vs emulated (1) receptions."""
+    """Labelled constellations: authentic (0) vs emulated (1) receptions.
+
+    Raises:
+        ConfigurationError: ``per_class`` is below one, or no reception
+            decoded, leaving nothing to write.
+    """
     import numpy as np
 
     from repro.defense.constellation import reconstruct_constellation
     from repro.defense.mlbaseline import feature_vector
+    from repro.errors import ConfigurationError
     from repro.experiments.common import (
         prepare_authentic,
         prepare_emulated,
-        transmit_once,
+        transmit_batch,
     )
     from repro.experiments.defense_common import defense_receiver
     from repro.utils.rng import spawn_rngs
 
+    if per_class < 1:
+        raise ConfigurationError(f"--per-class must be >= 1, got {per_class}")
     receiver = defense_receiver()
     prepared = {0: prepare_authentic(), 1: prepare_emulated(rng=seed)}
     rngs = spawn_rngs(seed, 2 * len(snrs) * per_class)
@@ -295,9 +295,11 @@ def _generate_dataset(out: str, per_class: int, snrs, seed: int) -> None:
     index = 0
     for snr in snrs:
         for label, link in prepared.items():
-            for _ in range(per_class):
-                packet = transmit_once(link, receiver, snr, rngs[index])
-                index += 1
+            packets = transmit_batch(
+                link, receiver, snr, rngs[index:index + per_class]
+            )
+            index += per_class
+            for packet in packets:
                 if packet is None or not packet.decoded:
                     continue
                 chips = packet.diagnostics.psdu_quadrature_soft_chips
@@ -307,6 +309,11 @@ def _generate_dataset(out: str, per_class: int, snrs, seed: int) -> None:
                 features.append(feature_vector(points))
                 labels.append(label)
                 snr_column.append(snr)
+    if not features:
+        raise ConfigurationError(
+            f"no reception decoded at SNRs {list(snrs)} dB; the dataset "
+            f"would be empty"
+        )
     np.savez(
         out,
         features=np.stack(features),
@@ -379,7 +386,6 @@ _CAPABILITY_FLAGS = (
     ("chunk_size", "--chunk-size"),
     ("on_error", "--on-error"),
     ("checkpoint", "--checkpoint-dir"),
-    ("batch", "--no-batch"),
     ("adaptive", "--adaptive"),
     ("scenario", "--scenario"),
 )
@@ -398,8 +404,6 @@ def _requested_capabilities(args: argparse.Namespace) -> List[str]:
         requested.append("on_error")
     if args.checkpoint_dir is not None:
         requested.append("checkpoint")
-    if args.no_batch:
-        requested.append("batch")
     if args.adaptive:
         requested.append("adaptive")
     if args.scenario is not None:
@@ -424,7 +428,6 @@ def _entry_kwargs(
     on_error: str,
     checkpoint_dir: Optional[str],
     resume: bool,
-    batch: bool,
     adaptive: bool,
     rel_precision: Optional[float],
     max_trials: Optional[int],
@@ -448,8 +451,6 @@ def _entry_kwargs(
     if checkpoint_dir is not None and "checkpoint" in capabilities:
         kwargs["checkpoint_dir"] = checkpoint_dir
         kwargs["resume"] = resume
-    if not batch and "batch" in capabilities:
-        kwargs["batch"] = False
     if adaptive and "adaptive" in capabilities:
         kwargs["adaptive"] = True
         if rel_precision is not None:
@@ -471,7 +472,6 @@ def _run_one(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     run_dir: Any = None,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: Optional[float] = None,
     max_trials: Optional[int] = None,
@@ -481,7 +481,7 @@ def _run_one(
     entry = get_experiment(experiment_id)
     kwargs = _entry_kwargs(
         entry, trials, workers, chunk_size, on_error,
-        checkpoint_dir, resume, batch, adaptive, rel_precision, max_trials,
+        checkpoint_dir, resume, adaptive, rel_precision, max_trials,
     )
     scenario_overrides: Optional[Dict[str, Any]] = None
     if scenario is not None:
@@ -696,7 +696,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{experiment_id:8s} {entry.description}")
         return 0
     if args.command == "dataset":
-        _generate_dataset(args.out, args.per_class, args.snrs, args.seed)
+        from repro.errors import ConfigurationError
+
+        try:
+            _generate_dataset(args.out, args.per_class, args.snrs, args.seed)
+        except ConfigurationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         return 0
     if args.command == "lint":
         from repro.analysis.cli import execute as lint_execute
@@ -716,7 +722,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             seed=args.seed,
-            batch=not args.no_batch,
             adaptive=not args.no_adaptive,
         )
         print(json.dumps(baseline, indent=2))
@@ -811,7 +816,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      on_error=args.on_error,
                      checkpoint_dir=args.checkpoint_dir,
                      resume=args.resume, run_dir=run_dir,
-                     batch=not args.no_batch,
                      adaptive=args.adaptive,
                      rel_precision=args.rel_precision,
                      max_trials=args.max_trials,

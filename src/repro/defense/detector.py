@@ -29,14 +29,9 @@ import numpy as np
 
 from repro.defense.constellation import (
     ConstellationOptions,
-    reconstruct_constellation,
     reconstruct_constellation_batch,
 )
-from repro.defense.moments import (
-    CumulantEstimate,
-    estimate_cumulants,
-    estimate_cumulants_batch,
-)
+from repro.defense.moments import CumulantEstimate, estimate_cumulants_batch
 from repro.errors import ConfigurationError, DetectionError
 from repro.telemetry import get_telemetry
 
@@ -114,29 +109,67 @@ class CumulantDetector:
         self, points: np.ndarray, noise_variance: Optional[float] = None
     ) -> DetectionResult:
         """Compute D_E^2 from already-reconstructed constellation points."""
-        variance = self.noise_variance if noise_variance is None else noise_variance
-        telemetry = get_telemetry()
-        estimate = estimate_cumulants(points, noise_variance=variance)
-        with telemetry.span("defense.voronoi_test"):
-            feature = self.feature_vector(estimate)
+        points = np.asarray(points, dtype=np.complex128)
+        return self.statistic_from_points_batch(
+            points[np.newaxis, :], [noise_variance]
+        )[0]
+
+    def statistic_from_points_batch(
+        self,
+        points: np.ndarray,
+        noise_variances: Optional[Sequence[Optional[float]]] = None,
+    ) -> List[DetectionResult]:
+        """D_E^2 for each row of a (batch, points) constellation stack.
+
+        ``noise_variances`` gives one noise power per row; a ``None``
+        entry (or list) uses the detector's own ``noise_variance``.
+        """
+        points = np.asarray(points, dtype=np.complex128)
+        if noise_variances is None:
+            noise_variances = [None] * len(points)
+        results = self._decide(points, [
+            self.noise_variance if variance is None else variance
+            for variance in noise_variances
+        ])
+        self._record(results)
+        return results
+
+    def _decide(
+        self, points: np.ndarray, noise_variances: Sequence[float]
+    ) -> List[DetectionResult]:
+        """Cumulant estimates and the Voronoi test for each point row."""
+        estimates = estimate_cumulants_batch(points, noise_variances)
+        results = []
+        with get_telemetry().span("defense.voronoi_test"):
             target = np.array([1.0, -1.0])
-            distance_squared = float(np.sum((feature - target) ** 2))
-            hypothesis = (
-                Hypothesis.WIFI_ATTACKER
-                if distance_squared >= self.threshold
-                else Hypothesis.ZIGBEE_TRANSMITTER
-            )
-        if telemetry.enabled:
-            verdict = "emulated" if hypothesis is Hypothesis.WIFI_ATTACKER \
-                else "authentic"
+            for estimate in estimates:
+                feature = self.feature_vector(estimate)
+                distance_squared = float(np.sum((feature - target) ** 2))
+                hypothesis = (
+                    Hypothesis.WIFI_ATTACKER
+                    if distance_squared >= self.threshold
+                    else Hypothesis.ZIGBEE_TRANSMITTER
+                )
+                results.append(DetectionResult(
+                    hypothesis=hypothesis,
+                    distance_squared=distance_squared,
+                    feature=feature,
+                    cumulants=estimate,
+                ))
+        return results
+
+    @staticmethod
+    def _record(results: Sequence[DetectionResult]) -> None:
+        """Per-decision telemetry, in input order."""
+        telemetry = get_telemetry()
+        if not telemetry.enabled:
+            return
+        for result in results:
+            verdict = "emulated" if result.is_attack else "authentic"
             telemetry.count("detector.decisions", verdict=verdict)
-            telemetry.observe("detector.distance_squared", distance_squared)
-        return DetectionResult(
-            hypothesis=hypothesis,
-            distance_squared=distance_squared,
-            feature=feature,
-            cumulants=estimate,
-        )
+            telemetry.observe(
+                "detector.distance_squared", result.distance_squared
+            )
 
     def statistic(
         self, soft_chips: np.ndarray, chip_noise_variance: Optional[float] = None
@@ -150,45 +183,20 @@ class CumulantDetector:
                 noise-variance subtraction is applied in the normalized
                 constellation domain.
         """
-        from dataclasses import replace
-
-        options = self.constellation_options
-        with get_telemetry().span("defense.detect"):
-            with get_telemetry().span("defense.constellation"):
-                raw = reconstruct_constellation(
-                    soft_chips, replace(options, normalize=False)
-                )
-            total_power = float(np.mean(np.abs(raw) ** 2))
-            if total_power <= 0:
-                raise ConfigurationError("constellation has no power")
-            points = raw / np.sqrt(total_power) if options.normalize else raw
-
-            noise_variance: Optional[float] = None
-            if chip_noise_variance is not None:
-                if chip_noise_variance < 0:
-                    raise ConfigurationError("chip_noise_variance must be >= 0")
-                # A constellation point is a unitary combination of two chips,
-                # so its noise power equals the per-chip noise power; rescale
-                # into the normalized domain.
-                noise_variance = chip_noise_variance / total_power
-                noise_variance = min(noise_variance, 0.9)  # guard degenerate
-            return self.statistic_from_points(
-                points, noise_variance=noise_variance
-            )
+        return self.statistic_batch([soft_chips], [chip_noise_variance])[0]
 
     def statistic_batch(
         self,
         soft_chips_rows: Sequence[np.ndarray],
         chip_noise_variances: Optional[Sequence[Optional[float]]] = None,
     ) -> List[DetectionResult]:
-        """Batched :meth:`statistic` over per-packet soft chip vectors.
+        """:meth:`statistic` over per-packet soft chip vectors.
 
         Rows are grouped by chip count so each group forms a contiguous
         rectangular stack; within a group the constellation build and
-        the moment reductions are vectorized along the last axis, which
-        keeps every row bit-identical to a scalar :meth:`statistic`
-        call on that row.  Results come back in input order and the
-        per-decision telemetry matches the scalar path's totals.
+        the moment reductions are vectorized along the last axis, so a
+        row's result does not depend on the other rows.  Results and
+        per-decision telemetry come back in input order.
         """
         rows = [np.asarray(row, dtype=np.float64) for row in soft_chips_rows]
         if chip_noise_variances is None:
@@ -210,7 +218,7 @@ class CumulantDetector:
         options = self.constellation_options
         telemetry = get_telemetry()
         results: List[Optional[DetectionResult]] = [None] * len(rows)
-        with telemetry.span("defense.detect_batch"):
+        with telemetry.span("defense.detect"):
             for indices in groups.values():
                 stack = np.ascontiguousarray(
                     np.stack([rows[index] for index in indices])
@@ -237,38 +245,19 @@ class CumulantDetector:
                             raise ConfigurationError(
                                 "chip_noise_variance must be >= 0"
                             )
-                        # Same rescale-and-guard as the scalar path.
+                        # A constellation point is a unitary combination
+                        # of two chips, so its noise power equals the
+                        # per-chip noise power; rescale into the
+                        # normalized domain and guard degenerate cases.
                         effective[position] = min(
                             variance / float(total_power[position]), 0.9
                         )
-                estimates = estimate_cumulants_batch(points, effective)
-                with telemetry.span("defense.voronoi_test"):
-                    target = np.array([1.0, -1.0])
-                    for position, index in enumerate(indices):
-                        estimate = estimates[position]
-                        feature = self.feature_vector(estimate)
-                        distance_squared = float(
-                            np.sum((feature - target) ** 2)
-                        )
-                        hypothesis = (
-                            Hypothesis.WIFI_ATTACKER
-                            if distance_squared >= self.threshold
-                            else Hypothesis.ZIGBEE_TRANSMITTER
-                        )
-                        results[index] = DetectionResult(
-                            hypothesis=hypothesis,
-                            distance_squared=distance_squared,
-                            feature=feature,
-                            cumulants=estimate,
-                        )
-        if telemetry.enabled:
-            for result in results:
-                verdict = "emulated" if result.is_attack else "authentic"
-                telemetry.count("detector.decisions", verdict=verdict)
-                telemetry.observe(
-                    "detector.distance_squared", result.distance_squared
-                )
-        return [result for result in results if result is not None]
+                decisions = self._decide(points, effective)
+                for index, decision in zip(indices, decisions):
+                    results[index] = decision
+        done = [result for result in results if result is not None]
+        self._record(done)
+        return done
 
     def classify(self, soft_chips: np.ndarray) -> Hypothesis:
         """Convenience wrapper returning only the hypothesis."""

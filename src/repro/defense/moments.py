@@ -73,41 +73,7 @@ def estimate_cumulants(
             the second-order terms need correction.
     """
     array = np.asarray(samples, dtype=np.complex128)
-    if array.size < 4:
-        raise ConfigurationError("need at least 4 samples to estimate cumulants")
-    if noise_variance < 0:
-        raise ConfigurationError("noise_variance must be non-negative")
-
-    with get_telemetry().span("defense.cumulants"):
-        d = array
-        c20 = complex(np.mean(d**2))
-        c21 = float(np.mean(np.abs(d) ** 2))
-
-        m40 = complex(np.mean(d**4))
-        m41 = complex(np.mean(d**3 * np.conj(d)))
-        m42 = float(np.mean(np.abs(d) ** 4))
-
-        c40 = m40 - 3.0 * c20**2
-        c41 = m41 - 3.0 * c20 * c21
-        c42 = m42 - abs(c20) ** 2 - 2.0 * c21**2
-
-    corrected_c21 = c21 - noise_variance
-    if corrected_c21 <= 0:
-        raise ConfigurationError(
-            "noise variance exceeds total power; cannot normalize"
-        )
-    # The complex-Gaussian noise contributes 2 sigma^4 to m42 that the
-    # '-2 c21^2' term over-removes once c21 is corrected; the classical
-    # estimator keeps the uncorrected second-order terms inside the
-    # cumulant formulas and corrects only the normalization.
-    return CumulantEstimate(
-        c20=c20,
-        c21=corrected_c21,
-        c40=c40,
-        c41=c41,
-        c42=c42,
-        sample_count=int(array.size),
-    )
+    return estimate_cumulants_batch(array[np.newaxis, :], [noise_variance])[0]
 
 
 def estimate_cumulants_batch(
@@ -117,8 +83,10 @@ def estimate_cumulants_batch(
     """Row-wise :func:`estimate_cumulants` over a (batch, points) stack.
 
     Every moment is an elementwise power followed by a ``mean`` along
-    the last axis of a contiguous stack, so row ``r`` matches
-    ``estimate_cumulants(samples[r], noise_variances[r])`` bit-for-bit.
+    the last axis of a contiguous stack, so a row's estimate does not
+    depend on the other rows.  ``noise_variances`` (default zeros) is
+    subtracted from each row's C21 exactly as :func:`estimate_cumulants`
+    describes.
     """
     array = np.ascontiguousarray(np.asarray(samples, dtype=np.complex128))
     if array.ndim != 2:
@@ -139,9 +107,9 @@ def estimate_cumulants_batch(
 
     with get_telemetry().span("defense.cumulants"):
         # Only the O(points) moment reductions are vectorized; the O(1)
-        # cumulant combinations run per row in Python-complex arithmetic
-        # exactly like the scalar estimator, so no ulp can creep in from
-        # numpy's (potentially FMA-contracted) array kernels.
+        # cumulant combinations run per row in Python-complex arithmetic,
+        # so no ulp can creep in from numpy's (potentially FMA-contracted)
+        # array kernels.
         d = array
         m20 = np.mean(d**2, axis=-1)
         m21 = np.mean(np.abs(d) ** 2, axis=-1)
@@ -156,6 +124,11 @@ def estimate_cumulants_batch(
         c40 = complex(m40[row]) - 3.0 * c20**2
         c41 = complex(m41[row]) - 3.0 * c20 * c21
         c42 = float(m42[row]) - abs(c20) ** 2 - 2.0 * c21**2
+        # The complex-Gaussian noise contributes 2 sigma^4 to m42 that
+        # the '-2 c21^2' term over-removes once c21 is corrected; the
+        # classical estimator keeps the uncorrected second-order terms
+        # inside the cumulant formulas and corrects only the
+        # normalization.
         corrected_c21 = c21 - float(variances[row])
         if corrected_c21 <= 0:
             raise ConfigurationError(

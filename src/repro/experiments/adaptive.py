@@ -454,7 +454,7 @@ class AdaptiveSweep:
         """Register and run one sweep point up to its base budget.
 
         Args:
-            trial: the engine trial function (scalar or batched).
+            trial: the engine trial function (one row per generator).
             rng: the point's stream source — the same one the
                 fixed-budget driver hands ``session.run``, so the
                 executed prefix stays bit-identical.

@@ -1,12 +1,12 @@
 """Engine throughput baseline: measure, compare to serial, persist.
 
 ``write_engine_baseline`` runs one engine-backed experiment three times
-— the scalar serial oracle, the batched serial path, and the batched
-worker pool — verifies all rows are identical (the engine's determinism
-contract, across both worker counts and execution paths), and writes a
-JSON baseline with trials/sec, batched-vs-scalar speedup, and a
-per-stage timing breakdown so future PRs have a performance trajectory
-to regress against::
+— serially with every trial a batch of one (``chunk_size=1``), serially
+at the default chunking, and on the worker pool — verifies all rows are
+identical (the engine's determinism contract, across worker counts and
+chunk sizes), and writes a JSON baseline with trials/sec, the batching
+speedup, and a per-stage timing breakdown so future changes have a
+performance trajectory to regress against::
 
     repro-experiments bench-engine --trials 200 --workers 4
 
@@ -25,6 +25,7 @@ import warnings
 from datetime import datetime, timezone
 from typing import Any, Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.experiments.registry import get_experiment
 from repro.telemetry import get_telemetry, git_revision, host_info, stopwatch
 
@@ -79,18 +80,16 @@ def measure_engine_throughput(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     seed: int = 0,
-    batch: bool = True,
     adaptive: bool = True,
 ) -> Dict[str, Any]:
-    """Scalar-vs-batched and serial-vs-parallel wall clock for one run.
+    """Batch-of-one vs batched and serial vs parallel wall clock.
 
-    Three legs: the scalar serial oracle (``batch=False``), the batched
-    serial path, and the batched parallel path.  ``serial_*`` fields
-    describe the engine's default serial execution (batched when the
-    experiment supports it), keeping the baseline schema readable by
-    pre-batching tooling; ``scalar_*`` and ``batched_speedup`` record
-    the vectorization win and ``stage_seconds`` the per-stage breakdown
-    of the batched serial leg.
+    Three legs: serial with ``chunk_size=1`` (every trial a batch of
+    one), serial at the default chunking, and the worker pool.
+    ``serial_*`` fields describe the default serial leg; ``scalar_*``
+    and ``batched_speedup`` record the batch-of-one leg and the
+    vectorization win (field names kept from schema 3), and
+    ``stage_seconds`` the per-stage breakdown of the default serial leg.
 
     When the experiment supports adaptive precision-targeted sampling a
     fourth leg runs it serially at the default 10% relative precision:
@@ -101,9 +100,13 @@ def measure_engine_throughput(
     ``workers=None`` resolves to :func:`default_bench_workers` so the
     recorded speedup reflects real parallelism on this host.
     """
-    import inspect
-
     entry = get_experiment(experiment_id)
+    if entry.trials_param is None or "chunk_size" not in entry.capabilities:
+        raise ConfigurationError(
+            f"bench-engine needs an engine-backed experiment with a trial "
+            f"count; {experiment_id!r} declares "
+            f"{sorted(entry.capabilities)}"
+        )
     if workers is None:
         workers = default_bench_workers()
     host_cpus = os.cpu_count() or 1
@@ -116,11 +119,8 @@ def measure_engine_throughput(
             f"min(4, host CPUs)",
             RuntimeWarning,
         )
-    run_parameters = inspect.signature(entry.run).parameters
-    supports_batch = "batch" in run_parameters
-    batched = batch and supports_batch
-    supports_adaptive = adaptive and "adaptive" in run_parameters
-    common = {"rng": seed, "trials": trials}
+    supports_adaptive = adaptive and "adaptive" in entry.capabilities
+    common = {"rng": seed, entry.trials_param: trials}
     # Record engine counters across every leg so the baseline carries
     # the same failure-class telemetry the run registry gates on.
     telemetry = get_telemetry()
@@ -128,23 +128,14 @@ def measure_engine_throughput(
     telemetry.reset()
     telemetry.enable()
     try:
-        scalar = None
-        if batched:
-            with telemetry.span("bench.scalar_serial"):
-                scalar = _timed_run(entry, batch=False, **common)
-            with telemetry.span("bench.batched_serial"):
-                serial = _timed_run(entry, **common)
-            with telemetry.span("bench.batched_parallel"):
-                parallel = _timed_run(
-                    entry, workers=workers, chunk_size=chunk_size, **common
-                )
-        else:
-            with telemetry.span("bench.serial"):
-                serial = _timed_run(entry, **common)
-            with telemetry.span("bench.parallel"):
-                parallel = _timed_run(
-                    entry, workers=workers, chunk_size=chunk_size, **common
-                )
+        with telemetry.span("bench.scalar_serial"):
+            scalar = _timed_run(entry, chunk_size=1, **common)
+        with telemetry.span("bench.batched_serial"):
+            serial = _timed_run(entry, **common)
+        with telemetry.span("bench.batched_parallel"):
+            parallel = _timed_run(
+                entry, workers=workers, chunk_size=chunk_size, **common
+            )
         adaptive_leg = None
         adaptive_trials_executed = adaptive_trials_saved = 0
         if supports_adaptive:
@@ -159,8 +150,7 @@ def measure_engine_throughput(
                 after.get("engine.trials_saved", 0)
                 - before.get("engine.trials_saved", 0)
             )
-        serial_leg = "bench.batched_serial" if batched else "bench.serial"
-        leg_node = telemetry.root.children.get(serial_leg)
+        leg_node = telemetry.root.children.get("bench.batched_serial")
         stage_seconds = (
             _aggregate_stage_seconds(leg_node) if leg_node is not None else {}
         )
@@ -171,13 +161,12 @@ def measure_engine_throughput(
         if was_enabled:
             telemetry.enable()
     # Row-level equality is the engine's core guarantee — across worker
-    # counts AND across the scalar/batched execution paths; surface any
-    # violation in the baseline rather than silently recording timings.
-    rows_identical = serial["result"].rows == parallel["result"].rows
-    if scalar is not None:
-        rows_identical = (
-            rows_identical and scalar["result"].rows == serial["result"].rows
-        )
+    # counts AND chunk sizes; surface any violation in the baseline
+    # rather than silently recording timings.
+    rows_identical = (
+        scalar["result"].rows == serial["result"].rows
+        == parallel["result"].rows
+    )
     speedup = serial["seconds"] / parallel["seconds"]
     baseline = {
         "schema": 3,
@@ -186,7 +175,8 @@ def measure_engine_throughput(
         "workers": workers,
         "chunk_size": chunk_size,
         "seed": seed,
-        "batch": batched,
+        # Schema 3 field: every leg runs the batched trials.
+        "batch": True,
         "serial_seconds": round(serial["seconds"], 3),
         "parallel_seconds": round(parallel["seconds"], 3),
         "speedup": round(speedup, 3),
@@ -200,15 +190,10 @@ def measure_engine_throughput(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "host": host_info(),
         "telemetry_counters": counters,
+        "scalar_seconds": round(scalar["seconds"], 3),
+        "scalar_trials_per_second": round(trials / scalar["seconds"], 2),
+        "batched_speedup": round(scalar["seconds"] / serial["seconds"], 3),
     }
-    if scalar is not None:
-        baseline["scalar_seconds"] = round(scalar["seconds"], 3)
-        baseline["scalar_trials_per_second"] = round(
-            trials / scalar["seconds"], 2
-        )
-        baseline["batched_speedup"] = round(
-            scalar["seconds"] / serial["seconds"], 3
-        )
     if adaptive_leg is not None:
         baseline["adaptive_seconds"] = round(adaptive_leg["seconds"], 3)
         baseline["adaptive_trials_executed"] = adaptive_trials_executed
@@ -226,7 +211,6 @@ def write_engine_baseline(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     seed: int = 0,
-    batch: bool = True,
     adaptive: bool = True,
 ) -> Dict[str, Any]:
     """Measure engine throughput and persist the JSON baseline."""
@@ -236,7 +220,6 @@ def write_engine_baseline(
         workers=workers,
         chunk_size=chunk_size,
         seed=seed,
-        batch=batch,
         adaptive=adaptive,
     )
     with open(path, "w") as handle:

@@ -18,11 +18,11 @@ from repro.attack.emulator import (
     EmulationResult,
     WaveformEmulationAttack,
 )
-from repro.channel.awgn import AwgnChannel
-from repro.errors import ConfigurationError, SynchronizationError
+from repro.channel.awgn import add_awgn
+from repro.errors import ConfigurationError
 from repro.telemetry import get_telemetry
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.signal_ops import Waveform
+from repro.utils.rng import RngLike
+from repro.utils.signal_ops import Waveform, normalize_power
 from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
 from repro.zigbee.transmitter import TransmitResult, ZigBeeTransmitter
 
@@ -170,36 +170,6 @@ def prepare_emulated(
     )
 
 
-def transmit_once(
-    prepared: PreparedLink,
-    receiver: ZigBeeReceiver,
-    snr_db: Optional[float],
-    rng: RngLike = None,
-    channel_factory: Optional[Callable[..., Any]] = None,
-) -> Optional[ReceivedPacket]:
-    """One noisy transmission of a prepared waveform; None = sync lost.
-
-    ``channel_factory`` (a scenario override; see
-    :mod:`repro.experiments.sweep`) replaces the default AWGN stage with
-    ``channel_factory(snr_db, rng)``; the default path is untouched and
-    stays byte-identical to the committed baselines.
-    """
-    telemetry = get_telemetry()
-    with telemetry.span("experiment.transmit_once"):
-        waveform = prepared.on_air
-        if channel_factory is not None:
-            with telemetry.span("channel.custom"):
-                waveform = channel_factory(snr_db, rng).apply(waveform)
-        elif snr_db is not None:
-            with telemetry.span("channel.awgn"):
-                waveform = AwgnChannel(snr_db=snr_db, rng=rng).apply(waveform)
-        try:
-            return receiver.receive(waveform)
-        except SynchronizationError:
-            telemetry.count("experiment.sync_lost")
-            return None
-
-
 def transmit_batch(
     prepared: PreparedLink,
     receiver: ZigBeeReceiver,
@@ -207,21 +177,20 @@ def transmit_batch(
     rngs: Sequence[np.random.Generator],
     channel_factory: Optional[Callable[..., Any]] = None,
 ) -> List[Optional[ReceivedPacket]]:
-    """Batched :func:`transmit_once`: one noise realization per RNG.
+    """Noisy transmissions of a prepared waveform, one per RNG.
 
-    The prepared waveform is normalized once; each row's noise is drawn
-    with the exact same 1-D generator calls :class:`AwgnChannel` makes
-    (so row ``r`` is bit-identical to ``transmit_once`` with ``rngs[r]``)
-    and the whole stack goes through the receiver's batched chain.  A
-    ``channel_factory`` replaces the AWGN stage row by row, keeping the
-    per-row bit-identity with the scalar path.
+    The prepared waveform is normalized once and each row draws its
+    noise from its own generator with :func:`add_awgn`, exactly as
+    :class:`AwgnChannel` would; the stack then goes through the
+    receiver's batched chain.  ``channel_factory`` (a scenario override;
+    see :mod:`repro.experiments.sweep`) replaces the AWGN stage with
+    ``channel_factory(snr_db, rng)`` row by row.  ``None`` in the result
+    marks a lost synchronization.
     """
-    from repro.utils.signal_ops import db_to_linear, normalize_power
-
     telemetry = get_telemetry()
     if not rngs:
         return []
-    with telemetry.span("experiment.transmit_batch"):
+    with telemetry.span("experiment.transmit"):
         waveform = prepared.on_air
         samples = waveform.samples
         if channel_factory is not None:
@@ -236,22 +205,40 @@ def transmit_batch(
         else:
             with telemetry.span("channel.awgn"):
                 normalized = normalize_power(samples)
-                noise_variance = 1.0 / db_to_linear(snr_db)
-                scale = np.sqrt(noise_variance / 2.0)
                 stacked = np.empty(
                     (len(rngs), normalized.size), dtype=np.complex128
                 )
                 for row, generator in enumerate(rngs):
-                    noise = scale * (
-                        generator.standard_normal(normalized.size)
-                        + 1j * generator.standard_normal(normalized.size)
+                    stacked[row] = add_awgn(
+                        normalized, snr_db, rng=generator, signal_power=1.0
                     )
-                    stacked[row] = normalized + noise
         packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
         for packet in packets:
             if packet is None:
                 telemetry.count("experiment.sync_lost")
         return packets
+
+
+def propagate_batch(
+    environment: Any,
+    prepared: PreparedLink,
+    distance_m: float,
+    rngs: Sequence[np.random.Generator],
+    extra_loss_db: float = 0.0,
+) -> np.ndarray:
+    """A (len(rngs), n) stack of the on-air waveform through the channel.
+
+    Each row is one :meth:`RealEnvironment.channel_at` realization drawn
+    from that row's own generator.
+    """
+    waveform = prepared.on_air
+    stacked = np.empty((len(rngs), waveform.samples.size), dtype=np.complex128)
+    for row, rng in enumerate(rngs):
+        channel = environment.channel_at(
+            distance_m, extra_loss_db=extra_loss_db, rng=rng
+        )
+        stacked[row] = channel.apply(waveform).samples
+    return stacked
 
 
 def packet_delivered(prepared: PreparedLink, packet: Optional[ReceivedPacket]) -> bool:

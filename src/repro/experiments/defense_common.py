@@ -20,10 +20,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.defense.detector import CumulantDetector, DetectionResult
-from repro.experiments.common import PreparedLink, transmit_batch, transmit_once
-from repro.experiments.engine import EngineSession, batch_trial
+from repro.experiments.common import PreparedLink, transmit_batch
+from repro.experiments.engine import EngineSession
 from repro.utils.rng import RngLike
-from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
+from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
 
 CHIP_SOURCES = ("quadrature", "matched_filter")
 
@@ -79,55 +79,19 @@ def chip_noise_variance_for(
 
 
 def statistic_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> Optional[StatisticSample]:
-    """Engine trial: one noisy reception screened by the detector.
-
-    ``args`` is ``(link_key, chip_source, noise_corrected, snr_db)``;
-    ``context`` must map ``link_key`` to a :class:`PreparedLink` and hold
-    ``"receiver"`` and ``"detector"``.  Returns ``None`` when the
-    reception never reaches the defense (sync loss, decode failure, or
-    too few chips) — the paper's pipeline drops those too.
-    """
-    link_key, chip_source, noise_corrected, snr_db = args
-    prepared = context[link_key]
-    rx = context["receiver"]
-    packet = transmit_once(
-        prepared, rx, snr_db, rng,
-        channel_factory=context.get("channel_factory"),
-    )
-    if packet is None or not packet.decoded:
-        return None
-    chips = extract_chips(packet, chip_source)
-    if chips.size < 8:
-        return None
-    chip_noise = (
-        chip_noise_variance_for(packet, chip_source, rx.config.samples_per_chip)
-        if noise_corrected
-        else None
-    )
-    detection = context["detector"].statistic(
-        chips, chip_noise_variance=chip_noise
-    )
-    return StatisticSample(
-        distance_squared=detection.distance_squared,
-        detection=detection,
-        snr_db=snr_db,
-    )
-
-
-@batch_trial
-def statistic_trial_batch(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
 ) -> List[Optional[StatisticSample]]:
-    """Batched :func:`statistic_trial`: one row per RNG, bit-identical.
+    """Engine trial: noisy receptions screened by the detector, one per RNG.
 
-    Receptions go through the receiver's batched chain and all decoded
-    packets are screened in one :meth:`CumulantDetector.statistic_batch`
-    call; rows that never reach the defense stay ``None`` exactly like
-    the scalar trial.
+    ``args`` is ``(link_key, chip_source, noise_corrected, snr_db)``;
+    ``context`` must map ``link_key`` to a :class:`PreparedLink` and hold
+    ``"receiver"`` and ``"detector"``.  Receptions go through the
+    receiver's batched chain and all decoded packets are screened in one
+    :meth:`CumulantDetector.statistic_batch` call.  A row is ``None``
+    when its reception never reaches the defense (sync loss, decode
+    failure, or too few chips) — the paper's pipeline drops those too.
     """
     link_key, chip_source, noise_corrected, snr_db = args
     prepared = context[link_key]
@@ -136,7 +100,37 @@ def statistic_trial_batch(
         prepared, rx, snr_db, rngs,
         channel_factory=context.get("channel_factory"),
     )
-    rows: List[Optional[StatisticSample]] = [None] * len(packets)
+    detections = screen_packets(
+        packets, context["detector"], chip_source, noise_corrected,
+        rx.config.samples_per_chip,
+    )
+    return [
+        None if detection is None else StatisticSample(
+            distance_squared=detection.distance_squared,
+            detection=detection,
+            snr_db=snr_db,
+        )
+        for detection in detections
+    ]
+
+
+def screen_packets(
+    packets: Sequence[Optional[ReceivedPacket]],
+    detector: CumulantDetector,
+    chip_source: str,
+    noise_corrected: bool,
+    samples_per_chip: int,
+    min_chips: int = 8,
+) -> List[Optional[DetectionResult]]:
+    """The detector's verdict on each reception that reaches the defense.
+
+    A row is ``None`` when its reception never reaches the defense (sync
+    loss, decode failure, or fewer than ``min_chips`` PSDU chips); every
+    other row is screened in one :meth:`CumulantDetector.statistic_batch`
+    call, with the receiver's noise-floor correction when
+    ``noise_corrected``.
+    """
+    rows: List[Optional[DetectionResult]] = [None] * len(packets)
     eligible: List[int] = []
     chips_rows: List[np.ndarray] = []
     variances: List[Optional[float]] = []
@@ -144,25 +138,19 @@ def statistic_trial_batch(
         if packet is None or not packet.decoded:
             continue
         chips = extract_chips(packet, chip_source)
-        if chips.size < 8:
+        if chips.size < min_chips:
             continue
         eligible.append(index)
         chips_rows.append(chips)
         variances.append(
-            chip_noise_variance_for(
-                packet, chip_source, rx.config.samples_per_chip
-            )
+            chip_noise_variance_for(packet, chip_source, samples_per_chip)
             if noise_corrected
             else None
         )
     if eligible:
-        detections = context["detector"].statistic_batch(chips_rows, variances)
+        detections = detector.statistic_batch(chips_rows, variances)
         for index, detection in zip(eligible, detections):
-            rows[index] = StatisticSample(
-                distance_squared=detection.distance_squared,
-                detection=detection,
-                snr_db=snr_db,
-            )
+            rows[index] = detection
     return rows
 
 
@@ -177,7 +165,6 @@ def collect_statistics(
     noise_corrected: bool = False,
     session: Optional[EngineSession] = None,
     link_key: str = "link",
-    batch: bool = False,
 ) -> List[StatisticSample]:
     """Gather D_E^2 over ``count`` independent noisy receptions.
 
@@ -193,8 +180,6 @@ def collect_statistics(
             the engine (possibly in worker processes) and ``prepared`` /
             ``detector`` / ``receiver`` are ignored.
         link_key: which context entry carries the link under ``session``.
-        batch: run the vectorized batched trial (bit-identical to the
-            scalar trial at the same seed).
     """
     from repro.experiments.sweep import standalone_session
 
@@ -208,8 +193,9 @@ def collect_statistics(
             "detector": detector,
         }
         session = standalone_session(context)
-    trial = statistic_trial_batch if batch else statistic_trial
-    samples = session.run(trial, count, rng=rng, static_args=static_args)
+    samples = session.run(
+        statistic_trial, count, rng=rng, static_args=static_args
+    )
     return [sample for sample in samples if sample is not None]
 
 

@@ -18,19 +18,13 @@ import numpy as np
 
 from repro.channel.environment import RealEnvironment
 from repro.defense.detector import CumulantDetector
-from repro.errors import SynchronizationError
 from repro.experiments.common import (
     ExperimentResult,
     PreparedLink,
     prepare_authentic,
     prepare_emulated,
-    transmit_once,
 )
-from repro.experiments.defense_common import (
-    chip_noise_variance_for,
-    defense_receiver,
-    extract_chips,
-)
+from repro.experiments.defense_common import defense_receiver, screen_packets
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -61,29 +55,20 @@ def _statistics(
     rng: RngLike,
 ) -> List[float]:
     detector = CumulantDetector(use_abs_c40=variant.use_abs_c40)
-    values: List[float] = []
-    for generator in spawn_rngs(rng, count):
-        channel = channel_factory(generator)
-        try:
-            packet = receiver.receive(channel.apply(prepared.on_air))
-        except SynchronizationError:
-            continue
-        if not packet.decoded:
-            continue
-        chips = extract_chips(packet, variant.chip_source)
-        if chips.size < 64:
-            continue
-        noise = (
-            chip_noise_variance_for(
-                packet, variant.chip_source, receiver.config.samples_per_chip
-            )
-            if variant.noise_corrected
-            else None
-        )
-        values.append(
-            detector.statistic(chips, chip_noise_variance=noise).distance_squared
-        )
-    return values
+    stacked = np.stack([
+        channel_factory(generator).apply(prepared.on_air).samples
+        for generator in spawn_rngs(rng, count)
+    ])
+    packets = receiver.receive_batch(stacked, prepared.on_air.sample_rate_hz)
+    detections = screen_packets(
+        packets, detector, variant.chip_source, variant.noise_corrected,
+        receiver.config.samples_per_chip, min_chips=64,
+    )
+    return [
+        detection.distance_squared
+        for detection in detections
+        if detection is not None
+    ]
 
 
 def run(

@@ -64,10 +64,15 @@ Usage::
         outcomes = session.run(my_trial, trials, rng=point_rng,
                                static_args=(snr_db,))
 
-where ``my_trial(context, static_args, rng)`` is a **module-level**
-(picklable) function returning a picklable value.  ``workers=None`` or
-``1`` runs the same code path in process; ``workers="auto"`` resolves
-to the host CPU count; if the pool cannot be created (restricted
+where ``my_trial(context, static_args, rngs)`` is a **module-level**
+(picklable) function taking a *list* of per-trial generators and
+returning one picklable result row per generator, in order.  Every
+trial is a batch: a chunk's healthy trials run as one call, and a
+single trial (a retry, or a chunk of size one) is a batch of one.  Each
+generator is rebuilt from its trial's own stream seed, so a trial whose
+rows are independent of each other produces identical rows for any
+chunking.  ``workers=None`` or ``1`` runs the same code path in
+process; ``workers="auto"`` resolves to the host CPU count; if the pool cannot be created (restricted
 sandboxes, missing semaphores) the engine falls back to the sequential
 executor and records it on ``engine.used_fallback``.
 """
@@ -91,10 +96,12 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.rng import RngLike, ensure_rng, spawn_seeds
 
-#: A single Monte Carlo trial: ``trial(context, static_args, rng)``.
-#: Batched trials (see :func:`batch_trial`) instead receive a list of
-#: per-trial generators and return one result row per generator.
-TrialFn = Callable[[Dict[str, Any], Tuple[Any, ...], np.random.Generator], Any]
+#: A Monte Carlo trial: ``trial(context, static_args, rngs)`` returns
+#: one result row per generator in ``rngs``, in the same order.
+TrialFn = Callable[
+    [Dict[str, Any], Tuple[Any, ...], List[np.random.Generator]],
+    Sequence[Any],
+]
 
 #: Chunks target this many dispatches per worker when no explicit
 #: ``chunk_size`` is given — large enough to amortize IPC, small enough
@@ -127,49 +134,20 @@ class InjectedFaultError(RuntimeError):
     """A synthetic trial failure raised by the fault-injection drill."""
 
 
-def batch_trial(trial: Callable) -> Callable:
-    """Mark a trial function as batched (``trial.batch = True``).
-
-    A batched trial has the signature ``trial(context, static_args,
-    rngs)`` where ``rngs`` is a *list* of per-trial generators — one per
-    trial in the chunk, each freshly built from that trial's own spawned
-    stream seed in trial order — and must return one result row per
-    generator, in the same order.  Because every generator is identical
-    to the one the scalar path would hand that trial, a batched trial
-    whose kernels are row-independent produces rows bit-identical to the
-    scalar path at the same seed, for any workers/chunk size.
-    """
-    trial.batch = True
-    return trial
-
-
-def _is_batch_trial(trial: Callable) -> bool:
-    """Whether ``trial`` opted into the batched calling convention."""
-    return bool(getattr(trial, "batch", False))
-
-
 def _call_trial(
     trial: TrialFn,
     context: Optional[Dict[str, Any]],
     static_args: Tuple[Any, ...],
-    rng: np.random.Generator,
-) -> Any:
-    """Invoke one trial through its declared calling convention.
-
-    Batched trials execute as a single-row batch here, which is exactly
-    how the scalar oracle for a batched trial is defined — so retries
-    and fallback executions of batched trials reproduce batch rows
-    bit-for-bit.
-    """
-    if _is_batch_trial(trial):
-        rows = trial(context, static_args, [rng])
-        if len(rows) != 1:
-            raise ConfigurationError(
-                f"batched trial {getattr(trial, '__name__', trial)!r} "
-                f"returned {len(rows)} rows for 1 generator"
-            )
-        return rows[0]
-    return trial(context, static_args, rng)
+    rngs: List[np.random.Generator],
+) -> Sequence[Any]:
+    """Call ``trial`` on a batch of generators; one row per generator."""
+    rows = trial(context, static_args, rngs)
+    if len(rows) != len(rngs):
+        raise ConfigurationError(
+            f"trial {getattr(trial, '__name__', trial)!r} returned "
+            f"{len(rows)} rows for {len(rngs)} generators"
+        )
+    return rows
 
 
 @dataclass
@@ -238,10 +216,10 @@ def _execute_trial(
     from the **same seed**, so a trial that recovers from a transient
     fault returns the bit-identical value of an unfaulted run.
 
-    The batched executor pre-checks the fault drill per item; when an
-    item already failed its first attempt there, it finishes here with
-    ``start_attempt=2`` and the captured ``prior_failure``, keeping the
-    retry/failure accounting identical to the scalar path.
+    Each attempt is a batch-of-one call.  The chunk executor pre-checks
+    the fault drill per item; when an item already failed its first
+    attempt there, it finishes here with ``start_attempt=2`` and the
+    captured ``prior_failure``.
     """
     telemetry = get_telemetry()
     attempts = 1 + (max_retries if on_error == "retry" else 0)
@@ -251,8 +229,8 @@ def _execute_trial(
             telemetry.count("engine.retries")
         try:
             _maybe_inject_fault(seed)
-            value = _call_trial(
-                trial, context, static_args, np.random.default_rng(seed)
+            (value,) = _call_trial(
+                trial, context, static_args, [np.random.default_rng(seed)]
             )
             return value, None, attempt
         except ISOLATED_TRIAL_EXCEPTIONS as error:
@@ -269,7 +247,7 @@ def _execute_trial(
     return None, failure, failure.attempts
 
 
-def _run_batch_items(
+def _run_items(
     trial: TrialFn,
     context: Optional[Dict[str, Any]],
     static_args: Tuple[Any, ...],
@@ -277,15 +255,14 @@ def _run_batch_items(
     on_error: str,
     max_retries: int,
 ) -> List[Tuple[int, Any, Optional[TrialFailure], int]]:
-    """Execute one chunk of items through a batched trial function.
+    """Execute one chunk of ``(trial_index, seed)`` items.
 
     The chunk's healthy items run as **one** batch call receiving a list
     of generators rebuilt from each item's own stream seed, in item
-    order — so each row sees exactly the generator the scalar path would
-    hand it.  Items the fault drill pre-fails (and every item, should
-    the batch call itself raise) degrade to the scalar executor, whose
-    single-row batch calls reproduce batch rows bit-for-bit; retry and
-    failure accounting therefore matches the scalar path exactly.
+    order.  Items the fault drill pre-fails (and every item, should the
+    batch call itself raise) run one at a time through
+    :func:`_execute_trial` as batches of one, so the isolation policy
+    applies per trial.
     """
     telemetry = get_telemetry()
     results: List[Optional[Tuple[int, Any, Optional[TrialFailure], int]]] = (
@@ -318,15 +295,10 @@ def _run_batch_items(
         rngs = [np.random.default_rng(seed) for _, _, seed in clean]
         rows: Optional[Sequence[Any]] = None
         try:
-            rows = trial(context, static_args, rngs)
-            if len(rows) != len(rngs):
-                raise ConfigurationError(
-                    f"batched trial {getattr(trial, '__name__', trial)!r} "
-                    f"returned {len(rows)} rows for {len(rngs)} generators"
-                )
+            rows = _call_trial(trial, context, static_args, rngs)
         except ISOLATED_TRIAL_EXCEPTIONS:
-            # The whole batch call failed; fall back to per-item scalar
-            # execution so one poisoned realization cannot take down its
+            # The whole batch call failed; fall back to per-item batches
+            # of one so one poisoned realization cannot take down its
             # chunk siblings and the isolation policy applies per trial.
             telemetry.count("engine.batch_fallbacks")
             rows = None
@@ -382,18 +354,9 @@ def _run_chunk(
     if telemetry.enabled:
         telemetry.reset()
         telemetry.enable()
-    if _is_batch_trial(trial):
-        results = _run_batch_items(
-            trial, _WORKER_CONTEXT, static_args, items, on_error, max_retries
-        )
-    else:
-        results = []
-        for index, seed in items:
-            value, failure, attempts = _execute_trial(
-                trial, _WORKER_CONTEXT, static_args, index, seed,
-                on_error, max_retries,
-            )
-            results.append((index, value, failure, attempts))
+    results = _run_items(
+        trial, _WORKER_CONTEXT, static_args, items, on_error, max_retries
+    )
     state = telemetry.dump_state() if telemetry.enabled else None
     return results, state
 
@@ -461,8 +424,9 @@ class EngineSession:
         """Run ``count`` independent trials; results in trial order.
 
         Args:
-            trial: module-level ``trial(context, static_args, rng)``
-                callable (must be picklable for parallel execution).
+            trial: module-level ``trial(context, static_args, rngs)``
+                callable returning one row per generator (must be
+                picklable for parallel execution).
             count: number of trials; each receives its own RNG stream
                 spawned from ``rng`` in trial order.
             rng: stream source for this sweep point.
@@ -580,53 +544,31 @@ class EngineSession:
         Used for ``workers=1``, the pool-creation fallback, and the
         re-execution of chunks lost to a pool crash, so every execution
         path produces identical results *and* identical failure
-        accounting.  With ``failures=None`` a failure settles (and may
-        raise) eagerly — there is no fleet to drain first; recovery
-        passes the run's shared list to defer settling until every lost
-        chunk was re-executed.  Emits the same per-trial events and the
+        accounting.  With ``failures=None`` a chunk's failures settle
+        (and may raise) as soon as the chunk finishes — there is no
+        fleet to drain first; recovery passes the run's shared list to
+        defer settling until every lost chunk was re-executed.  Emits the same per-trial events and the
         same end-of-chunk heartbeat the parallel collector emits.
         """
         engine = self._engine
         stream = get_event_stream()
-        if _is_batch_trial(trial):
-            outcomes = _run_batch_items(
-                trial, self._context, static_args, items,
-                engine.on_error, engine.max_retries,
-            )
-            chunk_failures: List[TrialFailure] = []
-            for index, value, failure, attempts in outcomes:
-                results[index] = value
-                self._emit_trial_events(stream, failure, attempts, index)
-                if failure is not None:
-                    chunk_failures.append(failure)
-            if outcomes:
-                stream.heartbeat(len(outcomes))
-            if chunk_failures:
-                if failures is None:
-                    self._settle_failures(chunk_failures)
-                else:
-                    failures.extend(chunk_failures)
-            return
-        completed = 0
-        for index, seed in items:
-            value, failure, attempts = _execute_trial(
-                trial, self._context, static_args, index, seed,
-                engine.on_error, engine.max_retries,
-            )
+        outcomes = _run_items(
+            trial, self._context, static_args, items,
+            engine.on_error, engine.max_retries,
+        )
+        chunk_failures: List[TrialFailure] = []
+        for index, value, failure, attempts in outcomes:
             results[index] = value
-            completed += 1
             self._emit_trial_events(stream, failure, attempts, index)
             if failure is not None:
-                if failures is None:
-                    if engine.on_error != "skip":
-                        # Settling is about to raise; flush progress so
-                        # the aborted run's stream records it.
-                        stream.heartbeat(completed)
-                    self._settle_failures([failure])
-                else:
-                    failures.append(failure)
-        if completed:
-            stream.heartbeat(completed)
+                chunk_failures.append(failure)
+        if outcomes:
+            stream.heartbeat(len(outcomes))
+        if chunk_failures:
+            if failures is None:
+                self._settle_failures(chunk_failures)
+            else:
+                failures.extend(chunk_failures)
 
     # -- pool management ----------------------------------------------
 

@@ -33,16 +33,21 @@ from repro.utils.rng import RngLike
 
 
 def _rssi_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> float:
-    """One propagated packet's RSSI reading re-anchored at the budget mean."""
+    context: Dict[str, Any],
+    args: Tuple[Any, ...],
+    rngs: List[np.random.Generator],
+) -> List[float]:
+    """Propagated packets' RSSI readings re-anchored at the budget mean."""
     distance, mean_rx_dbm = args
-    channel = context["env"].channel_at(distance, rng=rng)
-    received = channel.apply(context["prepared"].on_air)
-    # Measure the fading-induced deviation around unit power over the
-    # RSSI window inside the frame, then re-anchor.
-    relative_db = context["estimator"].estimate(received, start=600)
-    return mean_rx_dbm + relative_db
+    readings = []
+    for rng in rngs:
+        channel = context["env"].channel_at(distance, rng=rng)
+        received = channel.apply(context["prepared"].on_air)
+        # Measure the fading-induced deviation around unit power over
+        # the RSSI window inside the frame, then re-anchor.
+        relative_db = context["estimator"].estimate(received, start=600)
+        readings.append(mean_rx_dbm + relative_db)
+    return readings
 
 
 def _rssi_value(value: Optional[float]) -> Optional[float]:

@@ -23,15 +23,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.errors import SynchronizationError
 from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
     ExperimentResult,
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
+    propagate_batch,
 )
-from repro.experiments.engine import batch_trial
 from repro.experiments.sweep import (
     PointReduction,
     PointSpec,
@@ -51,54 +50,23 @@ from repro.zigbee.receiver import ZigBeeReceiver
 
 
 def _link_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]:
-    """One propagated reception; ``None`` marks a synchronization loss.
-
-    Returns ``(decoded_symbols, delivered, hamming_distances)`` so the
-    parent can replay the accumulator in trial order.
-    """
-    link_key, rx_name, distance, loss_db = args
-    prepared = context[link_key]
-    receiver = context["receivers"][rx_name]
-    channel = context["env"].channel_at(
-        distance, extra_loss_db=loss_db, rng=rng
-    )
-    try:
-        packet = receiver.receive(channel.apply(prepared.on_air))
-    except SynchronizationError:
-        return None
-    decoded = packet.diagnostics.psdu_symbols if packet else []
-    hamming = packet.diagnostics.hamming_distances if packet else None
-    return decoded, packet_delivered(prepared, packet), hamming
-
-
-@batch_trial
-def _link_trial_batch(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
 ) -> List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]]:
-    """Batched :func:`_link_trial`: one propagated reception per RNG.
+    """Propagated receptions, one per RNG; ``None`` marks a sync loss.
 
-    Each row's channel realization is applied on the 1-D waveform with
-    that row's own spawned streams — the exact draws the scalar trial
-    makes — and the noisy rows go through the receiver's batched chain,
-    so every row is bit-identical to the scalar trial at the same seed.
+    A row is ``(decoded_symbols, delivered, hamming_distances)`` so the
+    parent can replay the accumulator in trial order.
     """
     link_key, rx_name, distance, loss_db = args
     prepared = context[link_key]
-    receiver = context["receivers"][rx_name]
-    waveform = prepared.on_air
-    stacked = np.empty(
-        (len(rngs), waveform.samples.size), dtype=np.complex128
+    packets = context["receivers"][rx_name].receive_batch(
+        propagate_batch(
+            context["env"], prepared, distance, rngs, extra_loss_db=loss_db
+        ),
+        prepared.on_air.sample_rate_hz,
     )
-    for row, rng in enumerate(rngs):
-        channel = context["env"].channel_at(
-            distance, extra_loss_db=loss_db, rng=rng
-        )
-        stacked[row] = channel.apply(waveform).samples
-    packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
     rows: List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]] = []
     for packet in packets:
         if packet is None:
@@ -144,7 +112,6 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
             key=key,
             streams=(StreamSpec(
                 key=key, rng_slot=index, budget=trials, trial=_link_trial,
-                batch=_link_trial_batch,
                 static_args=(label, rx_name, distance, losses[rx_name]),
                 kind="rate", extract=_packet_error_flag,
             ),),
@@ -265,7 +232,6 @@ def run(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -274,9 +240,7 @@ def run(
 
     ``checkpoint_dir``/``resume`` persist (and skip) each completed
     (distance, receiver, waveform) cell; ``on_error`` selects the
-    engine's trial-failure policy; ``batch`` runs trials through the
-    vectorized batched receive chain (bit-identical to scalar).
-    ``adaptive`` stops each cell once its packet-error-rate Wilson CI
+    engine's trial-failure policy.  ``adaptive`` stops each cell once its packet-error-rate Wilson CI
     reaches ``rel_precision`` relative half-width (cap ``max_trials``),
     adding ``trials_used`` and the CI bounds to each row.
     """
@@ -287,7 +251,7 @@ def run(
             "trials": trials,
         },
         rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume, batch=batch,
+        checkpoint_dir=checkpoint_dir, resume=resume,
         adaptive=adaptive, rel_precision=rel_precision,
         max_trials=max_trials,
     )

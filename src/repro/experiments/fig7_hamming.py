@@ -16,7 +16,7 @@ from repro.experiments.common import (
     ExperimentResult,
     prepare_authentic,
     prepare_emulated,
-    transmit_once,
+    transmit_batch,
 )
 from repro.experiments.defense_common import defense_receiver
 from repro.utils.rng import RngLike, spawn_rngs
@@ -41,8 +41,10 @@ def run(
         ("emulated", emulated, rngs[1]),
     ):
         distances = []
-        for noise_rng in spawn_rngs(generator, num_packets):
-            packet = transmit_once(prepared, receiver, snr_db, noise_rng)
+        packets = transmit_batch(
+            prepared, receiver, snr_db, spawn_rngs(generator, num_packets)
+        )
+        for packet in packets:
             if packet is not None:
                 distances.extend(packet.diagnostics.hamming_distances)
         counts = np.zeros(MAX_DISTANCE + 1)

@@ -40,7 +40,7 @@ from repro.experiments.common import ExperimentResult
 #: means the entry's spec accepts scenario-file overrides.
 CAPABILITIES = frozenset(
     {"trials", "workers", "chunk_size", "on_error", "checkpoint",
-     "batch", "adaptive", "scenario"}
+     "adaptive", "scenario"}
 )
 
 #: Capabilities shared by every sweep-backed experiment.
@@ -102,7 +102,7 @@ _ENTRIES = [
     ExperimentEntry("table2", "attack success rate vs SNR (AWGN)",
                     table2_attack_awgn.run,
                     spec=table2_attack_awgn.SPEC,
-                    capabilities=_SWEEP_CAPABILITIES | {"batch"},
+                    capabilities=_SWEEP_CAPABILITIES,
                     trials_param="trials"),
     ExperimentEntry("table3", "theoretical cumulants per constellation",
                     table3_theoretical_cumulants.run,
@@ -111,7 +111,7 @@ _ENTRIES = [
     ExperimentEntry("table4", "averaged D_E^2 vs SNR",
                     table4_de2_snr.run,
                     spec=table4_de2_snr.SPEC,
-                    capabilities=_SWEEP_CAPABILITIES | {"batch"},
+                    capabilities=_SWEEP_CAPABILITIES,
                     trials_param="waveforms_per_point"),
     ExperimentEntry("table5", "averaged D_E^2 vs distance (real env)",
                     table5_de2_distance.run,
@@ -139,8 +139,7 @@ _ENTRIES = [
     ExperimentEntry("fig12", "calibrated threshold defense test",
                     fig12_defense.run,
                     spec=fig12_defense.SPEC,
-                    capabilities=(_SWEEP_CAPABILITIES | {"batch"})
-                    - {"trials"}),
+                    capabilities=_SWEEP_CAPABILITIES - {"trials"}),
     ExperimentEntry("fig13", "RSSI vs distance (table in Fig. 13)",
                     fig13_rssi.run,
                     spec=fig13_rssi.SPEC,
@@ -149,7 +148,7 @@ _ENTRIES = [
     ExperimentEntry("fig14", "error rates vs distance per receiver",
                     fig14_error_rates.run,
                     spec=fig14_error_rates.SPEC,
-                    capabilities=_SWEEP_CAPABILITIES | {"batch"},
+                    capabilities=_SWEEP_CAPABILITIES,
                     trials_param="trials"),
 ]
 

@@ -5,15 +5,15 @@ share one shape: an axis of points, one or more independent trial
 streams per point, a fixed or adaptive per-stream budget, and a
 reduction from stream results to table rows.  Before this module, the
 cross-cutting machinery — the parallel engine, checkpoint stores,
-batched trials, adaptive precision targeting, and telemetry events —
+adaptive precision targeting, and telemetry events —
 was hand-threaded through each driver.  Now a driver declares a
 :class:`SweepSpec` (axis -> :class:`PointSpec`/:class:`StreamSpec`
 plan, context factory, fingerprint, row reduction) and
 :func:`run_sweep` owns ALL of the wiring in exactly one place:
 
 * seed-stream discipline: ``spawn_rngs`` slots are allocated by the
-  plan so serial == parallel == batched == the adaptive prefix at the
-  same seed, and the context is built *after* the streams are spawned;
+  plan so serial == parallel == any chunking == the adaptive prefix at
+  the same seed, and the context is built *after* the streams are spawned;
 * checkpointing: per-point or per-stream units with resume
   fingerprinting (seed, axis, budgets, adaptive config, scenario);
 * adaptive sampling: streams declare ``rate``/``mean`` metrics and the
@@ -111,8 +111,8 @@ class StreamSpec:
             stream keeps its noise draws even when a sibling stream is
             disabled (e.g. Table II without the authentic baseline).
         budget: fixed trial count, and the adaptive base budget.
-        trial: scalar engine trial ``(context, static_args, rng)``.
-        batch: optional ``@batch_trial`` twin (bit-identical rows).
+        trial: engine trial ``(context, static_args, rngs)`` returning
+            one row per generator.
         static_args: per-point parameters passed to every trial.
         kind: adaptive estimator — ``"rate"`` (Wilson) or ``"mean"``
             (Welford).
@@ -124,14 +124,9 @@ class StreamSpec:
     rng_slot: int
     budget: int
     trial: TrialFn
-    batch: Optional[TrialFn] = None
     static_args: Tuple[Any, ...] = ()
     kind: str = "mean"
     extract: Callable[[Any], Any] = _identity
-
-    def resolve_trial(self, batch: bool) -> TrialFn:
-        """The batched twin when requested and declared, else the scalar."""
-        return self.batch if (batch and self.batch is not None) else self.trial
 
 
 @dataclass(frozen=True)
@@ -316,8 +311,8 @@ class FadingChannelFactory:
 
     Stacks (in order) block fading, random CFO, random phase, and AWGN
     at the point's SNR, drawing every stage from sub-streams of the
-    trial's own RNG — so parallel/batched runs stay bit-identical to
-    serial at the same seed.
+    trial's own RNG — so rows stay bit-identical for any worker count
+    or chunk size at the same seed.
     """
 
     profile: str = "awgn"
@@ -375,9 +370,8 @@ def resolve_channel_factory(
 ) -> Optional[FadingChannelFactory]:
     """A channel factory for SNR-axis specs; ``None`` without a scenario.
 
-    ``None`` keeps the legacy AWGN fast path (``transmit_once`` /
-    ``transmit_batch`` default) byte-identical to the committed
-    baselines.
+    ``None`` keeps the default AWGN path of ``transmit_batch``
+    byte-identical to the committed baselines.
     """
     spec = _validated_channel_spec(config, SNR_CHANNEL_KEYS)
     if spec is None:
@@ -589,7 +583,6 @@ def run_sweep(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -607,8 +600,6 @@ def run_sweep(
         checkpoint_dir: persist each completed unit atomically.
         resume: serve completed units from ``checkpoint_dir`` (requires
             a matching fingerprint: same seed, axis, budgets, scenario).
-        batch: run streams that declare a batched trial through the
-            vectorized path (bit-identical to scalar at the same seed).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
@@ -653,12 +644,12 @@ def run_sweep(
     if spec.checkpoint_unit == "point":
         _run_point_unit(
             spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config, batch,
+            result, adaptive_config,
         )
     elif spec.checkpoint_unit == "stream":
         _run_stream_unit(
             spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config, batch,
+            result, adaptive_config,
         )
     else:
         raise ConfigurationError(
@@ -688,7 +679,6 @@ def _run_point_unit(
     stream: Any,
     result: ExperimentResult,
     adaptive_config: Optional[AdaptiveConfig],
-    batch: bool,
 ) -> None:
     """Point-unit sweeps: one checkpoint payload per point — its row."""
     if spec.reduce_point is None:
@@ -717,7 +707,7 @@ def _run_point_unit(
                 )
                 states[point.key] = {
                     s.key: sweep.point(
-                        s.resolve_trial(batch), rng=rngs[s.rng_slot],
+                        s.trial, rng=rngs[s.rng_slot],
                         static_args=s.static_args,
                         estimator=_make_estimator(sweep, s),
                         extract=s.extract, key=s.key, base=s.budget,
@@ -755,7 +745,7 @@ def _run_point_unit(
                 )
                 results = {
                     s.key: session.run(
-                        s.resolve_trial(batch), s.budget,
+                        s.trial, s.budget,
                         rng=rngs[s.rng_slot], static_args=s.static_args,
                     )
                     for s in point.streams
@@ -782,7 +772,6 @@ def _run_stream_unit(
     stream: Any,
     result: ExperimentResult,
     adaptive_config: Optional[AdaptiveConfig],
-    batch: bool,
 ) -> None:
     """Stream-unit sweeps: one payload per stream — its value list.
 
@@ -813,7 +802,7 @@ def _run_stream_unit(
                 stream.point_started(spec.experiment_id, s.key,
                                      trials=s.budget)
                 states[s.key] = sweep.point(
-                    s.resolve_trial(batch), rng=rngs[s.rng_slot],
+                    s.trial, rng=rngs[s.rng_slot],
                     static_args=s.static_args,
                     estimator=_make_estimator(sweep, s),
                     extract=s.extract, key=s.key, base=s.budget,
@@ -839,7 +828,7 @@ def _run_stream_unit(
                 stream.point_started(spec.experiment_id, s.key,
                                      trials=s.budget)
                 raw = session.run(
-                    s.resolve_trial(batch), s.budget,
+                    s.trial, s.budget,
                     rng=rngs[s.rng_slot], static_args=s.static_args,
                 )
                 values = [

@@ -23,7 +23,6 @@ from repro.experiments.defense_common import (
     _distance_or_none,
     mean_or_nan,
     statistic_trial,
-    statistic_trial_batch,
 )
 from repro.experiments.sweep import (
     PointSpec,
@@ -64,7 +63,6 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
             StreamSpec(
                 key=f"snr{snr:g}.{label}", rng_slot=2 * i + offset,
                 budget=per_point, trial=statistic_trial,
-                batch=statistic_trial_batch,
                 static_args=(label, chip_source, False, snr),
                 kind="mean", extract=_distance_or_none,
             )
@@ -169,7 +167,6 @@ def run(
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    batch: bool = True,
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
@@ -191,7 +188,7 @@ def run(
             "chip_source": chip_source,
         },
         rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume, batch=batch,
+        checkpoint_dir=checkpoint_dir, resume=resume,
         adaptive=adaptive, rel_precision=rel_precision,
         max_trials=max_trials,
     )

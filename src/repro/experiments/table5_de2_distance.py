@@ -21,18 +21,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.errors import SynchronizationError
 from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
     ExperimentResult,
     prepare_authentic,
     prepare_emulated,
+    propagate_batch,
 )
-from repro.experiments.defense_common import (
-    chip_noise_variance_for,
-    extract_chips,
-    mean_or_nan,
-)
+from repro.experiments.defense_common import mean_or_nan, screen_packets
 from repro.experiments.sweep import (
     PointReduction,
     PointSpec,
@@ -58,31 +54,26 @@ PAPER_TABLE5 = {
 
 
 def _distance_trial(
-    context: Dict[str, Any], args: Tuple[Any, ...], rng: np.random.Generator
-) -> Optional[float]:
-    """One real-environment reception: D_E^2, or None when undecodable."""
+    context: Dict[str, Any],
+    args: Tuple[Any, ...],
+    rngs: List[np.random.Generator],
+) -> List[Optional[float]]:
+    """Real-environment receptions: D_E^2 per RNG, None when undecodable."""
     link_key, distance, chip_source, noise_corrected = args
     receiver = context["receiver"]
-    channel = context["env"].channel_at(distance, rng=rng)
-    try:
-        packet = receiver.receive(channel.apply(context[link_key].on_air))
-    except SynchronizationError:
-        return None
-    if not packet.decoded:
-        return None
-    chips = extract_chips(packet, chip_source)
-    if chips.size < 8:
-        return None
-    chip_noise = (
-        chip_noise_variance_for(
-            packet, chip_source, receiver.config.samples_per_chip
-        )
-        if noise_corrected
-        else None
+    prepared = context[link_key]
+    packets = receiver.receive_batch(
+        propagate_batch(context["env"], prepared, distance, rngs),
+        prepared.on_air.sample_rate_hz,
     )
-    return context["detector"].statistic(
-        chips, chip_noise_variance=chip_noise
-    ).distance_squared
+    detections = screen_packets(
+        packets, context["detector"], chip_source, noise_corrected,
+        receiver.config.samples_per_chip,
+    )
+    return [
+        None if detection is None else detection.distance_squared
+        for detection in detections
+    ]
 
 
 def _de2_value(value: Optional[float]) -> Optional[float]:

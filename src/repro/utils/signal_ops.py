@@ -124,19 +124,10 @@ def polyphase_resample(
     Used to move between the ZigBee native 4 Msps and the shared 20 Msps
     "air" rate.  Rates must form a rational ratio with small terms.
     """
-    if input_rate_hz <= 0 or output_rate_hz <= 0:
-        raise ConfigurationError("sample rates must be positive")
     array = _as_complex_array(samples)
-    if input_rate_hz == output_rate_hz:
-        return array.copy()
-    from fractions import Fraction
-
-    ratio = Fraction(output_rate_hz / input_rate_hz).limit_denominator(1000)
-    if ratio.numerator > 10_000 or ratio.denominator > 10_000:
-        raise ConfigurationError(
-            f"rate ratio {output_rate_hz}/{input_rate_hz} is not a small rational"
-        )
-    return sp_signal.resample_poly(array, ratio.numerator, ratio.denominator)
+    return polyphase_resample_batch(
+        array[np.newaxis, :], input_rate_hz, output_rate_hz
+    )[0]
 
 
 def fft_interpolate(samples: ArrayLike, factor: int) -> np.ndarray:
@@ -225,9 +216,8 @@ def lowpass_filter_batch(
 ) -> np.ndarray:
     """Row-wise :func:`lowpass_filter` over a (batch, n) stack.
 
-    ``lfilter`` along ``axis=-1`` produces per-row output bit-identical
-    to filtering each row alone, so the scalar path simply delegates
-    here with a single-row batch.
+    ``lfilter`` along ``axis=-1`` filters each row independently;
+    :func:`lowpass_filter` is a batch of one.
     """
     taps = lowpass_taps(cutoff_hz, sample_rate_hz, num_taps)
     array = np.asarray(samples, dtype=np.complex128)

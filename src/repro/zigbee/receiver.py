@@ -12,22 +12,15 @@ baseline strategies tap the phase trajectory and chip amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DecodingError,
-    FramingError,
-    SynchronizationError,
-)
+from repro.errors import ConfigurationError, FramingError, SynchronizationError
 from repro.telemetry import get_telemetry
 from repro.utils.signal_ops import (
     Waveform,
-    lowpass_filter,
     lowpass_filter_batch,
-    polyphase_resample,
     polyphase_resample_batch,
 )
 from repro.zigbee.constants import (
@@ -38,10 +31,10 @@ from repro.zigbee.constants import (
 )
 from repro.zigbee.frame import MacFrame, PhyFrame
 from repro.zigbee.msk import MskDespreader
-from repro.zigbee.oqpsk import ChipSamples, OqpskDemodulator
+from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.quadrature import QuadratureDemodulator
 from repro.zigbee.spreading import DespreadDecision, DsssDespreader
-from repro.zigbee.synchronizer import SyncResult, Synchronizer, apply_corrections
+from repro.zigbee.synchronizer import SyncResult, Synchronizer
 
 #: preamble (8) + SFD (2) + PHR (2) symbols precede the PSDU.
 HEADER_SYMBOLS = 12
@@ -206,131 +199,49 @@ class ZigBeeReceiver:
         Models the receiver's 2 MHz channel-select filter followed by
         decimation — e.g. a 20 Msps "air" capture becomes 4 Msps baseband.
         """
-        if abs(waveform.sample_rate_hz - self.sample_rate_hz) < 1e-6:
-            return waveform
-        if waveform.sample_rate_hz < self.sample_rate_hz:
-            raise ConfigurationError(
-                "input sample rate is below the receiver's native rate"
-            )
-        if self.config.decimation == "naive":
-            ratio = waveform.sample_rate_hz / self.sample_rate_hz
-            step = int(round(ratio))
-            if abs(ratio - step) > 1e-9:
-                raise ConfigurationError(
-                    "naive decimation needs an integer rate ratio"
-                )
-            return Waveform(waveform.samples[::step].copy(), self.sample_rate_hz)
-        filtered = lowpass_filter(
-            waveform.samples,
-            cutoff_hz=self.config.channel_filter_cutoff_hz,
-            sample_rate_hz=waveform.sample_rate_hz,
+        baseband = self._channelize_batch(
+            waveform.samples[np.newaxis, :], waveform.sample_rate_hz
         )
-        resampled = polyphase_resample(
-            filtered, waveform.sample_rate_hz, self.sample_rate_hz
-        )
-        return Waveform(resampled, self.sample_rate_hz)
+        return Waveform(baseband[0], self.sample_rate_hz)
 
     def demodulate_chips(
-        self, waveform: Waveform, num_chips: Optional[int] = None,
-        known_start: Optional[int] = None,
+        self, waveform: Waveform, known_start: Optional[int] = None
     ) -> ReceiveDiagnostics:
         """Synchronize and demodulate chips without any frame parsing.
 
+        Demodulates every whole symbol that fits after the frame start.
+
         Args:
             waveform: received baseband (any rate >= native).
-            num_chips: chips to demodulate; defaults to every whole symbol
-                that fits after the frame start.
             known_start: genie timing — skip packet detection and use this
                 sample index (at the native rate) as the frame start.
-        """
-        telemetry = get_telemetry()
-        with telemetry.span("zigbee.channelize"):
-            baseband = self.channelize(waveform)
-        with telemetry.span("zigbee.sync"):
-            if known_start is not None:
-                sync = SyncResult(
-                    start_index=known_start, phase_rad=0.0, cfo_hz=0.0,
-                    correlation=1.0,
-                )
-            else:
-                sync = self._synchronizer.synchronize(baseband)
-            aligned = apply_corrections(baseband, sync, self.sample_rate_hz)
 
-        capacity = self._demodulator.capacity(aligned.size)
-        available = (capacity // CHIPS_PER_SYMBOL) * CHIPS_PER_SYMBOL
-        target = available if num_chips is None else num_chips
-        if target > available:
-            raise DecodingError(
-                f"requested {target} chips but only {available} are available"
-            )
-        with telemetry.span("zigbee.demodulate"):
-            chip_samples = self._demodulator.demodulate(
-                aligned, target, phase_tracking=self.config.phase_tracking
-            )
-            quad_target = min(target, self._quadrature.capacity(aligned.size))
-            quadrature = self._quadrature.demodulate(aligned, quad_target)
-        with telemetry.span("zigbee.despread"):
-            if self.config.demodulation == "quadrature":
-                whole = (quad_target // CHIPS_PER_SYMBOL) * CHIPS_PER_SYMBOL
-                symbols, distances, runners = self._msk_despreader.despread_arrays(
-                    quadrature.hard[:whole]
-                )
-            else:
-                symbols, distances, runners = self._despreader.despread_arrays(
-                    chip_samples.hard
-                )
-        return ReceiveDiagnostics(
-            sync=sync,
-            soft_chips=chip_samples.soft,
-            hard_chips=chip_samples.hard,
-            quadrature_soft_chips=quadrature.soft,
-            noise_variance=self._estimate_noise_floor(baseband, sync.start_index),
-            symbol_array=symbols,
-            distance_array=distances,
-            runner_distance_array=runners,
+        Raises:
+            SynchronizationError: no frame was detected.
+        """
+        rows, reasons = self._demodulate_rows(
+            waveform.samples[np.newaxis, :], waveform.sample_rate_hz,
+            known_start,
         )
-
-    @staticmethod
-    def _estimate_noise_floor(
-        baseband: Waveform, start_index: int, min_samples: int = 32
-    ) -> Optional[float]:
-        """Per-sample noise power from the signal-free head of the capture.
-
-        The defense's cumulant estimator subtracts "a local estimate of the
-        noise variance" (Sec. VI-B2); a receiver obtains it for free from
-        the samples it captured before the frame arrived.
-        """
-        head = baseband.samples[:start_index]
-        if head.size < min_samples:
-            return None
-        return float(np.mean(np.abs(head) ** 2))
+        if rows[0] is None:
+            raise SynchronizationError(reasons[0])
+        return rows[0]
 
     def receive(
         self, waveform: Waveform, known_start: Optional[int] = None
     ) -> ReceivedPacket:
-        """Full packet reception: sync, demodulate, despread, parse, FCS."""
-        telemetry = get_telemetry()
-        try:
-            with telemetry.span("zigbee.receive"):
-                packet = self._receive_packet(waveform, known_start)
-        except SynchronizationError:
-            telemetry.count("zigbee.packets", outcome="sync_lost")
-            raise
-        if telemetry.enabled:
-            outcome = ("fcs_ok" if packet.fcs_ok
-                       else "decoded" if packet.decoded else "undecoded")
-            telemetry.count("zigbee.packets", outcome=outcome)
-            telemetry.count(
-                "zigbee.chip_errors",
-                float(sum(packet.diagnostics.hamming_distances)),
-            )
-        return packet
+        """Full packet reception: sync, demodulate, despread, parse, FCS.
 
-    def _receive_packet(
-        self, waveform: Waveform, known_start: Optional[int]
-    ) -> ReceivedPacket:
-        diagnostics = self.demodulate_chips(waveform, known_start=known_start)
-        return self._parse_packet(diagnostics)
+        Raises:
+            SynchronizationError: no frame was detected.
+        """
+        packets, reasons = self._receive_rows(
+            waveform.samples[np.newaxis, :], waveform.sample_rate_hz,
+            known_start,
+        )
+        if packets[0] is None:
+            raise SynchronizationError(reasons[0])
+        return packets[0]
 
     def _parse_packet(self, diagnostics: ReceiveDiagnostics) -> ReceivedPacket:
         """PHR parse, PSDU assembly, and FCS check on decode arrays."""
@@ -395,16 +306,31 @@ class ZigBeeReceiver:
         """Full packet reception over a (batch, n) stack of captures.
 
         Every row is one independent noise realization at the same rate;
-        rows that fail packet detection yield ``None`` (the batched
-        analogue of :class:`SynchronizationError`).  Per-row results and
-        telemetry counters are bit-identical to calling :meth:`receive`
-        on each row alone: all kernels reduce along the sample axis only,
-        and rows are regrouped by detected frame start so every aligned
-        stack stays rectangular.
+        rows that fail packet detection yield ``None`` (where
+        :meth:`receive` raises :class:`SynchronizationError`).  All
+        kernels reduce along the sample axis only, and rows are regrouped
+        by detected frame start so every aligned stack stays rectangular;
+        each row's packet is the one a batch holding that row alone
+        produces.
         """
+        return self._receive_rows(samples, sample_rate_hz, known_start)[0]
+
+    def _receive_rows(
+        self,
+        samples: np.ndarray,
+        sample_rate_hz: float,
+        known_start: Optional[int],
+    ) -> Tuple[List[Optional[ReceivedPacket]], List[Optional[str]]]:
+        """Packets per row, plus the sync-failure reason of ``None`` rows."""
         telemetry = get_telemetry()
-        with telemetry.span("zigbee.receive_batch"):
-            packets = self._receive_rows(samples, sample_rate_hz, known_start)
+        with telemetry.span("zigbee.receive"):
+            rows, reasons = self._demodulate_rows(
+                samples, sample_rate_hz, known_start
+            )
+            packets = [
+                None if diagnostics is None else self._parse_packet(diagnostics)
+                for diagnostics in rows
+            ]
         for packet in packets:
             if packet is None:
                 telemetry.count("zigbee.packets", outcome="sync_lost")
@@ -419,14 +345,20 @@ class ZigBeeReceiver:
                     "zigbee.chip_errors",
                     float(packet.diagnostics.distance_array.sum()),
                 )
-        return packets
+        return packets, reasons
 
-    def _receive_rows(
+    def _demodulate_rows(
         self,
         samples: np.ndarray,
         sample_rate_hz: float,
         known_start: Optional[int],
-    ) -> List[Optional[ReceivedPacket]]:
+    ) -> Tuple[List[Optional[ReceiveDiagnostics]], List[Optional[str]]]:
+        """Channelize, synchronize, demodulate and despread every row.
+
+        Returns one :class:`ReceiveDiagnostics` per row (``None`` when the
+        row failed packet detection) and the synchronizer's failure
+        reason for each ``None`` row.
+        """
         telemetry = get_telemetry()
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 2:
@@ -438,15 +370,17 @@ class ZigBeeReceiver:
             baseband = self._channelize_batch(samples, sample_rate_hz)
         with telemetry.span("zigbee.sync"):
             if known_start is not None:
-                syncs: List[Optional[SyncResult]] = [
-                    SyncResult(
-                        start_index=known_start, phase_rad=0.0, cfo_hz=0.0,
-                        correlation=1.0,
-                    )
-                ] * batch
+                known = SyncResult(
+                    start_index=known_start, phase_rad=0.0, cfo_hz=0.0,
+                    correlation=1.0,
+                )
+                outcomes: List[Tuple[Optional[SyncResult], Optional[str]]] = (
+                    [(known, None)] * batch
+                )
             else:
-                syncs = self._synchronizer.synchronize_batch(baseband)
-        packets: List[Optional[ReceivedPacket]] = [None] * batch
+                outcomes = self._synchronizer.synchronize_rows(baseband)
+        syncs = [sync for sync, _ in outcomes]
+        rows: List[Optional[ReceiveDiagnostics]] = [None] * batch
         # Rows synchronize at (nearly always) the same frame start; group
         # them so each aligned stack is rectangular and demodulates in
         # one batched pass.
@@ -454,25 +388,25 @@ class ZigBeeReceiver:
         for row, sync in enumerate(syncs):
             if sync is not None:
                 groups.setdefault(sync.start_index, []).append(row)
-        for start, rows in groups.items():
-            self._receive_group(baseband, syncs, start, rows, packets)
-        return packets
+        for start, members in groups.items():
+            self._demodulate_group(baseband, syncs, start, members, rows)
+        return rows, [reason for _, reason in outcomes]
 
-    def _receive_group(
+    def _demodulate_group(
         self,
         baseband: np.ndarray,
         syncs: List[Optional[SyncResult]],
         start: int,
-        rows: List[int],
-        packets: List[Optional[ReceivedPacket]],
+        members: List[int],
+        rows: List[Optional[ReceiveDiagnostics]],
     ) -> None:
-        """Demodulate, despread, and parse one equal-start row group."""
+        """Demodulate and despread one equal-start row group."""
         telemetry = get_telemetry()
-        idx = np.asarray(rows, dtype=np.intp)
+        idx = np.asarray(members, dtype=np.intp)
         group = baseband[idx]
         aligned_len = group.shape[1] - start
-        cfo = np.asarray([syncs[row].cfo_hz for row in rows])
-        phase = np.asarray([syncs[row].phase_rad for row in rows])
+        cfo = np.asarray([syncs[row].cfo_hz for row in members])
+        phase = np.asarray([syncs[row].phase_rad for row in members])
         steps = np.arange(aligned_len)
         rate = self.sample_rate_hz
         correction = np.exp(
@@ -504,12 +438,15 @@ class ZigBeeReceiver:
                 symbols, distances, runners = self._despreader.despread_arrays(
                     hard
                 )
+        # The defense's cumulant estimator subtracts "a local estimate of
+        # the noise variance" (Sec. VI-B2); a receiver obtains it for free
+        # from the samples it captured before the frame arrived.
         min_noise_samples = 32
         noise: Optional[np.ndarray] = None
         if start >= min_noise_samples:
             noise = np.mean(np.abs(group[:, :start]) ** 2, axis=-1)
-        for position, row in enumerate(rows):
-            diagnostics = ReceiveDiagnostics(
+        for position, row in enumerate(members):
+            rows[row] = ReceiveDiagnostics(
                 sync=syncs[row],
                 soft_chips=soft[position],
                 hard_chips=hard[position],
@@ -521,12 +458,11 @@ class ZigBeeReceiver:
                 distance_array=distances[position],
                 runner_distance_array=runners[position],
             )
-            packets[row] = self._parse_packet(diagnostics)
 
     def _channelize_batch(
         self, samples: np.ndarray, sample_rate_hz: float
     ) -> np.ndarray:
-        """Row-wise :meth:`channelize` of a (batch, n) stack."""
+        """Channel-select filter and decimate each row to the native rate."""
         if abs(sample_rate_hz - self.sample_rate_hz) < 1e-6:
             return samples
         if sample_rate_hz < self.sample_rate_hz:

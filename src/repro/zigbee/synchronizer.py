@@ -9,9 +9,8 @@ of Fig. 1 (right).
 
 The correlation runs in the frequency domain: one FFT of the received
 block against a cached conjugate template spectrum, batched over many
-noise realizations at once.  The scalar :meth:`Synchronizer.synchronize`
-delegates to the same kernel with a single-row batch, so batched and
-scalar synchronization are bit-identical by construction.
+noise realizations at once; :meth:`Synchronizer.synchronize` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -103,10 +102,6 @@ class Synchronizer:
         """Length of the SHR correlation template in samples."""
         return int(self._template.size)
 
-    def _correlate(self, samples: np.ndarray) -> np.ndarray:
-        """Linear cross-correlation against the template (valid lags)."""
-        return self._correlate_batch(samples[np.newaxis, :])[0]
-
     def _correlate_batch(self, samples: np.ndarray) -> np.ndarray:
         """FFT cross-correlation of each row against the SHR template.
 
@@ -132,7 +127,7 @@ class Synchronizer:
                 f"waveform is {waveform.sample_rate_hz} Hz"
             )
         samples = waveform.samples
-        result, reason = self._synchronize_rows(samples[np.newaxis, :])[0]
+        result, reason = self.synchronize_rows(samples[np.newaxis, :])[0]
         if result is None:
             raise SynchronizationError(reason)
         return result
@@ -145,12 +140,16 @@ class Synchronizer:
         Rows that fail detection return ``None`` instead of raising, so
         callers can keep the surviving realizations batched.
         """
-        return [result for result, _ in self._synchronize_rows(samples)]
+        return [result for result, _ in self.synchronize_rows(samples)]
 
-    def _synchronize_rows(
+    def synchronize_rows(
         self, samples: np.ndarray
     ) -> List[Tuple[Optional[SyncResult], Optional[str]]]:
-        """Per-row sync outcome plus the failure reason for ``None`` rows."""
+        """Per-row sync outcome plus the failure reason for ``None`` rows.
+
+        The reason is the message :meth:`synchronize` raises with; it is
+        ``None`` for rows that synchronized.
+        """
         if samples.ndim != 2:
             raise ConfigurationError(
                 f"batch waveforms must be 2-D, got shape {samples.shape}"
@@ -218,14 +217,6 @@ class Synchronizer:
                 )
             )
         return outcomes
-
-    def _estimate_cfo(self, samples: np.ndarray, start: int) -> float:
-        """Two-halves phase-slope CFO estimate over the SHR."""
-        return float(
-            self._estimate_cfo_batch(
-                samples[np.newaxis, :], np.asarray([start])
-            )[0]
-        )
 
     def _estimate_cfo_batch(
         self, samples: np.ndarray, starts: np.ndarray

@@ -18,14 +18,14 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.events import MemoryEventSink, get_event_stream
 
 
-def _coin_trial(context, args, rng):
+def _coin_trial(context, args, rngs):
     (p,) = args
-    return bool(rng.random() < p)
+    return [bool(rng.random() < p) for rng in rngs]
 
 
-def _gauss_trial(context, args, rng):
+def _gauss_trial(context, args, rngs):
     mean, sigma = args
-    return float(mean + sigma * rng.standard_normal())
+    return [float(mean + sigma * rng.standard_normal()) for rng in rngs]
 
 
 class TestIntervalMath:

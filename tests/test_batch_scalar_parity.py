@@ -1,12 +1,10 @@
-"""Direct differential tests for every public batch/scalar kernel pair.
+"""Each batched kernel against its batch-of-one wrapper, row by row.
 
-``tests/test_batched_trials.py`` pins the end-to-end contract (batched
-experiment drivers == scalar drivers, bit for bit); this file pins each
-*pair* in isolation, so a regression names the exact kernel that broke
-instead of failing three driver tests at once.  It is also the test
-anchor reprolint rule R008 (batch/scalar parity) checks for: every
-``*_batch`` kernel and ``@batch_trial`` function must be referenced
-from at least one test module, together with its scalar counterpart.
+Every kernel has one implementation, the batched one; the scalar entry
+points are batches of one.  ``tests/test_batched_trials.py`` pins the
+end-to-end contract (driver rows identical for any chunking); this file
+pins each kernel and trial in isolation, so a row that starts depending
+on its batch neighbours names the exact kernel that broke.
 """
 
 import numpy as np
@@ -21,11 +19,11 @@ from repro.defense.moments import (
     estimate_cumulants,
     estimate_cumulants_batch,
 )
+from repro.channel.awgn import AwgnChannel
 from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
     transmit_batch,
-    transmit_once,
 )
 from repro.experiments.engine import MonteCarloEngine
 from repro.utils.signal_ops import (
@@ -34,6 +32,7 @@ from repro.utils.signal_ops import (
     polyphase_resample,
     polyphase_resample_batch,
 )
+from repro.errors import SynchronizationError
 from repro.zigbee.receiver import ZigBeeReceiver
 
 
@@ -134,7 +133,8 @@ class TestZigbeeChainParity:
 
 
 class TestTransmitParity:
-    def test_transmit_batch_matches_transmit_once(self):
+    def test_transmit_batch_matches_awgn_channel_and_receive(self):
+        """Each row's noise is the draw :class:`AwgnChannel` makes."""
         prepared = prepare_emulated(rng=3)
         receiver = ZigBeeReceiver()
         seeds = (21, 22, 23)
@@ -143,37 +143,39 @@ class TestTransmitParity:
             [np.random.default_rng(seed) for seed in seeds],
         )
         for seed, packet in zip(seeds, batched):
-            scalar = transmit_once(
-                prepared, receiver, 12.0, np.random.default_rng(seed)
-            )
-            if scalar is None:
+            channel = AwgnChannel(12.0, rng=np.random.default_rng(seed))
+            try:
+                single = receiver.receive(channel.apply(prepared.on_air))
+            except SynchronizationError:
                 assert packet is None
                 continue
             assert packet is not None
-            assert packet.psdu == scalar.psdu
-            assert packet.fcs_ok == scalar.fcs_ok
+            assert packet.psdu == single.psdu
+            assert packet.fcs_ok == single.fcs_ok
+            assert np.array_equal(
+                packet.diagnostics.soft_chips, single.diagnostics.soft_chips
+            )
 
 
-def _session_rows(trial, context, count, static_args, seed=11):
-    with MonteCarloEngine().session(context) as session:
-        return session.run(trial, count, rng=seed, static_args=static_args)
+def _session_rows(trial, context, count, static_args, chunk_size=None):
+    engine = MonteCarloEngine(chunk_size=chunk_size)
+    with engine.session(context) as session:
+        return session.run(trial, count, rng=11, static_args=static_args)
 
 
 class TestTrialParity:
-    """The four ``@batch_trial`` functions against their scalar twins.
+    """Each driver trial: one batch == every trial a batch of one.
 
-    The engine derives identical per-trial seeds for both paths, so
-    running each trial function through a fresh session at the same
-    seed must produce identical rows.
+    The engine derives identical per-trial seeds for any chunking, so a
+    trial whose rows are independent returns identical rows at
+    ``chunk_size=1`` and in a single batch.
     """
 
     def test_table2_trials_match(self):
         from repro.defense.detector import CumulantDetector
         from repro.experiments.table2_attack_awgn import (
             _authentic_trial,
-            _authentic_trial_batch,
             _emulated_trial,
-            _emulated_trial_batch,
         )
         from repro.hardware.usrp import gnuradio_simulation_receiver_config
 
@@ -184,17 +186,15 @@ class TestTrialParity:
             "detector": CumulantDetector(),
         }
         args = (15.0,)
-        assert _session_rows(_emulated_trial_batch, context, 4, args) == \
-            _session_rows(_emulated_trial, context, 4, args)
-        assert _session_rows(_authentic_trial_batch, context, 4, args) == \
-            _session_rows(_authentic_trial, context, 4, args)
+        for trial in (_emulated_trial, _authentic_trial):
+            assert _session_rows(trial, context, 4, args, chunk_size=4) == \
+                _session_rows(trial, context, 4, args, chunk_size=1)
 
     def test_statistic_trial_batch_matches_scalar(self):
         from repro.defense.detector import CumulantDetector
         from repro.experiments.defense_common import (
             defense_receiver,
             statistic_trial,
-            statistic_trial_batch,
         )
 
         context = {
@@ -203,10 +203,10 @@ class TestTrialParity:
             "detector": CumulantDetector(),
         }
         args = ("link", "quadrature", False, 15.0)
-        batched = _session_rows(statistic_trial_batch, context, 4, args)
-        scalar = _session_rows(statistic_trial, context, 4, args)
-        assert len(batched) == len(scalar)
-        for got, want in zip(batched, scalar):
+        batched = _session_rows(statistic_trial, context, 4, args, 4)
+        single = _session_rows(statistic_trial, context, 4, args, 1)
+        assert len(batched) == len(single)
+        for got, want in zip(batched, single):
             if want is None:
                 assert got is None
                 continue
@@ -216,10 +216,7 @@ class TestTrialParity:
             assert got.detection.hypothesis == want.detection.hypothesis
 
     def test_link_trial_batch_matches_scalar(self):
-        from repro.experiments.fig14_error_rates import (
-            _link_trial,
-            _link_trial_batch,
-        )
+        from repro.experiments.fig14_error_rates import _link_trial
         from repro.channel.environment import RealEnvironment
         from repro.hardware.usrp import usrp_receiver_config
 
@@ -230,10 +227,10 @@ class TestTrialParity:
         }
         loss_db = usrp_receiver_config().implementation_loss_db
         args = ("original", "usrp", 3.0, loss_db)
-        batched = _session_rows(_link_trial_batch, context, 3, args)
-        scalar = _session_rows(_link_trial, context, 3, args)
-        assert len(batched) == len(scalar)
-        for got, want in zip(batched, scalar):
+        batched = _session_rows(_link_trial, context, 3, args, 3)
+        single = _session_rows(_link_trial, context, 3, args, 1)
+        assert len(batched) == len(single)
+        for got, want in zip(batched, single):
             if want is None:
                 assert got is None
                 continue

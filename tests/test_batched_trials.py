@@ -1,10 +1,11 @@
-"""Batched fast path == scalar oracle, bit for bit.
+"""Batched trials == batch-of-one execution, bit for bit.
 
-The tentpole guarantee of the batched Monte Carlo path: a trial declared
-with ``batch_trial`` produces rows bit-identical to its scalar
-counterpart at the same seed, for any worker count and chunk size, with
-and without the injected-fault drill.  These tests pin that contract at
-three levels: toy engine trials, the vectorized receive/detect kernels,
+The guarantee of the batched Monte Carlo engine: every trial is a batch,
+and a trial whose rows are independent produces the same rows whether
+each trial runs alone (``chunk_size=1``) or inside a larger batch, for
+any worker count, with and without the injected-fault drill.  These
+tests pin that contract at three levels: toy engine trials, the
+vectorized receive/detect kernels against their batch-of-one wrappers,
 and the full table2/table4/fig14 experiment drivers.
 """
 
@@ -17,11 +18,7 @@ from repro.experiments import (
     table2_attack_awgn,
     table4_de2_snr,
 )
-from repro.experiments.engine import (
-    FAULT_EVERY_ENV,
-    MonteCarloEngine,
-    batch_trial,
-)
+from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
 from repro.telemetry import get_telemetry
 
 
@@ -34,12 +31,6 @@ def _clean_fault_drill(monkeypatch):
     engine_module._FAULTED_SEEDS.clear()
 
 
-def _scalar_draw(context, args, rng):
-    (scale,) = args
-    return float(rng.normal()) * scale, int(rng.integers(0, 1000))
-
-
-@batch_trial
 def _batched_draw(context, args, rngs):
     (scale,) = args
     return [
@@ -48,7 +39,6 @@ def _batched_draw(context, args, rngs):
     ]
 
 
-@batch_trial
 def _wrong_row_count(context, args, rngs):
     return [0.0] * (len(rngs) + 1)
 
@@ -63,14 +53,14 @@ def _run(trial, workers=1, chunk_size=None, count=17, on_error="raise"):
 
 class TestEngineBatchedPath:
     def test_batched_matches_scalar_serial(self):
-        assert _run(_batched_draw) == _run(_scalar_draw)
+        assert _run(_batched_draw) == _run(_batched_draw, chunk_size=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_size", [1, 3, 50])
     def test_batched_matches_scalar_across_workers_and_chunks(
         self, workers, chunk_size
     ):
-        reference = _run(_scalar_draw)
+        reference = _run(_batched_draw, chunk_size=1)
         assert _run(_batched_draw, workers, chunk_size) == reference
 
     def test_batched_counts_batched_trials(self):
@@ -93,7 +83,7 @@ class TestEngineBatchedPath:
             _run(_wrong_row_count, count=4)
 
     def test_fault_drill_retries_bit_identically(self, monkeypatch):
-        reference = _run(_scalar_draw)
+        reference = _run(_batched_draw, chunk_size=1)
         monkeypatch.setenv(FAULT_EVERY_ENV, "3")
         for workers in (1, 2):
             engine_module._FAULTED_SEEDS.clear()
@@ -104,16 +94,16 @@ class TestEngineBatchedPath:
             assert got == reference
 
     def test_fault_drill_counter_parity_with_scalar(self, monkeypatch):
-        """Retry/failure counters match the scalar path under the drill."""
+        """Retry/failure counters match batch-of-one runs under the drill."""
         monkeypatch.setenv(FAULT_EVERY_ENV, "2")
 
-        def _counters(trial):
+        def _counters(chunk_size):
             engine_module._FAULTED_SEEDS.clear()
             telemetry = get_telemetry()
             telemetry.reset()
             telemetry.enable()
             try:
-                _run(trial, chunk_size=4, on_error="retry")
+                _run(_batched_draw, chunk_size=chunk_size, on_error="retry")
                 counters = telemetry.registry.snapshot()["counters"]
             finally:
                 telemetry.disable()
@@ -123,7 +113,7 @@ class TestEngineBatchedPath:
                 if name in ("engine.retries", "engine.trial_failures")
             }
 
-        assert _counters(_batched_draw) == _counters(_scalar_draw)
+        assert _counters(4) == _counters(1)
 
 
 class TestKernelEquivalence:
@@ -198,45 +188,39 @@ class TestKernelEquivalence:
 
 
 class TestExperimentBitIdentity:
-    """Batched drivers == scalar drivers, serial and parallel."""
+    """Driver rows: batch of one == default batches == worker pool."""
 
     def test_table2_rows_identical(self):
         kwargs = {"snrs_db": (7, 17), "trials": 6, "rng": 5}
-        scalar = table2_attack_awgn.run(batch=False, **kwargs)
-        batched = table2_attack_awgn.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
+        single = table2_attack_awgn.run(chunk_size=1, **kwargs)
+        batched = table2_attack_awgn.run(**kwargs)
+        assert single.rows == batched.rows
         for workers, chunk in ((2, 2), (2, 4)):
             parallel = table2_attack_awgn.run(
-                batch=True, workers=workers, chunk_size=chunk, **kwargs
+                workers=workers, chunk_size=chunk, **kwargs
             )
-            assert parallel.rows == scalar.rows
+            assert parallel.rows == single.rows
 
     def test_table4_rows_identical(self):
         kwargs = {"snrs_db": (7,), "waveforms_per_point": 6, "rng": 2}
-        scalar = table4_de2_snr.run(batch=False, **kwargs)
-        batched = table4_de2_snr.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
-        parallel = table4_de2_snr.run(
-            batch=True, workers=2, chunk_size=2, **kwargs
-        )
-        assert parallel.rows == scalar.rows
+        single = table4_de2_snr.run(chunk_size=1, **kwargs)
+        batched = table4_de2_snr.run(**kwargs)
+        assert single.rows == batched.rows
+        parallel = table4_de2_snr.run(workers=2, chunk_size=2, **kwargs)
+        assert parallel.rows == single.rows
 
     def test_fig14_rows_identical(self):
         kwargs = {"distances_m": (3,), "trials": 4, "rng": 8}
-        scalar = fig14_error_rates.run(batch=False, **kwargs)
-        batched = fig14_error_rates.run(batch=True, **kwargs)
-        assert scalar.rows == batched.rows
-        parallel = fig14_error_rates.run(
-            batch=True, workers=2, chunk_size=2, **kwargs
-        )
-        assert parallel.rows == scalar.rows
+        single = fig14_error_rates.run(chunk_size=1, **kwargs)
+        batched = fig14_error_rates.run(**kwargs)
+        assert single.rows == batched.rows
+        parallel = fig14_error_rates.run(workers=2, chunk_size=2, **kwargs)
+        assert parallel.rows == single.rows
 
     def test_table2_rows_identical_under_fault_drill(self, monkeypatch):
         kwargs = {"snrs_db": (17,), "trials": 6, "rng": 5}
-        reference = table2_attack_awgn.run(batch=True, **kwargs)
+        reference = table2_attack_awgn.run(**kwargs)
         monkeypatch.setenv(FAULT_EVERY_ENV, "3")
         engine_module._FAULTED_SEEDS.clear()
-        drilled = table2_attack_awgn.run(
-            batch=True, on_error="retry", **kwargs
-        )
+        drilled = table2_attack_awgn.run(on_error="retry", **kwargs)
         assert drilled.rows == reference.rows

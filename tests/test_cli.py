@@ -134,6 +134,32 @@ class TestFaultToleranceFlags:
         assert (tmp_path / "ckpt" / "table2" / "meta.json").exists()
 
 
+class TestDatasetCommand:
+    def test_writes_labelled_samples(self, tmp_path, capsys):
+        import numpy as np
+
+        out = tmp_path / "data.npz"
+        assert main(["dataset", str(out), "--per-class", "2",
+                     "--snrs", "17", "--seed", "1"]) == 0
+        data = np.load(out)
+        assert data["features"].shape == (len(data["labels"]), 5)
+        assert set(data["labels"].tolist()) == {0, 1}
+        assert "wrote" in capsys.readouterr().out
+
+    def test_zero_per_class_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.npz"
+        assert main(["dataset", str(out), "--per-class", "0"]) == 2
+        assert "--per-class" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_sample_set_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.npz"
+        assert main(["dataset", str(out), "--per-class", "2",
+                     "--snrs", "-30"]) == 2
+        assert "no reception decoded" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestLintSubcommand:
     def test_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "bad.py"

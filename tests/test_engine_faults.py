@@ -10,17 +10,17 @@ from repro.experiments.engine import FAULT_EVERY_ENV, MonteCarloEngine
 from repro.telemetry import get_telemetry
 
 
-def _draw_trial(context, args, rng):
-    """Deterministic per-seed value; the bit-identity reference."""
+def _draw_trial(context, args, rngs):
+    """Deterministic per-seed values; the bit-identity reference."""
     (scale,) = args
-    return float(rng.normal()) * scale
+    return [float(rng.normal()) * scale for rng in rngs]
 
 
-def _failing_trial(context, args, rng):
+def _failing_trial(context, args, rngs):
     raise ValueError("always broken")
 
 
-def _interrupt_trial(context, args, rng):
+def _interrupt_trial(context, args, rngs):
     raise KeyboardInterrupt
 
 

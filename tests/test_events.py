@@ -32,9 +32,9 @@ from repro.telemetry.events import (
 )
 
 
-def _draw_trial(context, args, rng):
+def _draw_trial(context, args, rngs):
     """Module-level so worker processes could unpickle it (R003)."""
-    return float(rng.normal())
+    return [float(rng.normal()) for rng in rngs]
 
 
 @pytest.fixture(autouse=True)

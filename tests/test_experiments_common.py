@@ -11,7 +11,7 @@ from repro.experiments.common import (
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
-    transmit_once,
+    transmit_batch,
 )
 from repro.experiments.defense_common import (
     chip_noise_variance_for,
@@ -21,6 +21,14 @@ from repro.experiments.defense_common import (
     matched_filter_chip_noise_variance,
     mean_distance_squared,
 )
+
+
+def transmit_one(link, snr_db, seed=None):
+    """One noisy transmission: a batch of one."""
+    (packet,) = transmit_batch(
+        link, defense_receiver(), snr_db, [np.random.default_rng(seed)]
+    )
+    return packet
 
 
 class TestPreparedLinks:
@@ -46,24 +54,24 @@ class TestPreparedLinks:
 
 class TestTransmitOnce:
     def test_noiseless_delivery(self, authentic_link):
-        packet = transmit_once(authentic_link, defense_receiver(), None)
+        packet = transmit_one(authentic_link, None)
         assert packet is not None
         assert packet_delivered(authentic_link, packet)
 
     def test_deep_noise_returns_none_or_undelivered(self, authentic_link):
-        packet = transmit_once(authentic_link, defense_receiver(), -30.0, rng=0)
+        packet = transmit_one(authentic_link, -30.0, seed=0)
         assert packet is None or not packet_delivered(authentic_link, packet)
 
     def test_delivery_requires_exact_psdu(self, authentic_link, emulated_link):
         # A packet decoded from a different frame must not count.
-        packet = transmit_once(emulated_link, defense_receiver(), None)
+        packet = transmit_one(emulated_link, None)
         assert packet_delivered(emulated_link, packet)
         assert packet_delivered(authentic_link, packet)  # same frame content
 
 
 class TestDefenseCommon:
     def test_extract_chips_sources(self, authentic_link):
-        packet = transmit_once(authentic_link, defense_receiver(), None)
+        packet = transmit_one(authentic_link, None)
         quadrature = extract_chips(packet, "quadrature")
         matched = extract_chips(packet, "matched_filter")
         assert quadrature.size > 0 and matched.size > 0
@@ -75,7 +83,7 @@ class TestDefenseCommon:
         assert matched_filter_chip_noise_variance(0.4, 2) == pytest.approx(0.1)
 
     def test_chip_noise_none_for_quadrature(self, authentic_link):
-        packet = transmit_once(authentic_link, defense_receiver(), 10.0, rng=1)
+        packet = transmit_one(authentic_link, 10.0, seed=1)
         assert chip_noise_variance_for(packet, "quadrature") is None
         assert chip_noise_variance_for(packet, "matched_filter") is not None
 

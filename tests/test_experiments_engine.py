@@ -12,20 +12,23 @@ from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.utils.rng import spawn_rngs, spawn_seeds
 
 
-def _draw_trial(context, args, rng):
-    """Trial: one Gaussian draw scaled by the context — pure RNG check."""
+def _draw_trial(context, args, rngs):
+    """Trial: one Gaussian draw per row scaled by the context."""
     (scale,) = args
-    return float(rng.normal()) * scale * context["gain"]
+    return [float(rng.normal()) * scale * context["gain"] for rng in rngs]
 
 
-def _counting_trial(context, args, rng):
-    """Trial that records telemetry: a span, a counter, a histogram."""
+def _counting_trial(context, args, rngs):
+    """Trial recording per row: a span, a counter, a histogram value."""
     telemetry = get_telemetry()
-    with telemetry.span("test.trial"):
-        value = float(rng.normal())
-        telemetry.count("test.trials")
-        telemetry.observe("test.values", value)
-    return value
+    values = []
+    for rng in rngs:
+        with telemetry.span("test.trial"):
+            value = float(rng.normal())
+            telemetry.count("test.trials")
+            telemetry.observe("test.values", value)
+        values.append(value)
+    return values
 
 
 class TestSpawnSeeds:
@@ -249,3 +252,17 @@ class TestMergePrimitives:
         parent.merge_state(worker.dump_state())
         assert parent.registry.counters["events"].value == 4
         assert parent.root.children["stage"].call_count == 1
+
+
+class TestBenchEngine:
+    def test_batch_of_one_leg_keeps_the_schema_fields(self):
+        from repro.experiments.bench import measure_engine_throughput
+
+        baseline = measure_engine_throughput(
+            "table2", trials=2, workers=1, adaptive=False
+        )
+        assert baseline["schema"] == 3
+        assert baseline["rows_identical"]
+        assert {
+            "scalar_seconds", "scalar_trials_per_second", "batched_speedup",
+        } <= set(baseline)

@@ -1,4 +1,4 @@
-"""Tests for reprolint's whole-program layer (rules R008-R011).
+"""Tests for reprolint's whole-program layer (rules R009-R011).
 
 Every fixture is a miniature on-disk project: a ``pyproject.toml`` root
 marker plus modules under ``src/repro/`` so role classification sees
@@ -18,14 +18,10 @@ from repro.analysis.runner import run_lint_detailed
 
 PYPROJECT = "[project]\nname = 'lintdemo'\n"
 
-# A scalar/batch kernel pair plus the test reference R008 wants; reused
-# as the innocent bystander in other rules' fixtures.
+# A clean kernel plus a test that uses it; the innocent bystander in
+# the cache fixtures.
 CLEAN_KERNELS = """\
 import numpy as np
-
-
-def mix(samples):
-    return np.asarray(samples, dtype=np.complex128)
 
 
 def mix_batch(samples):
@@ -33,11 +29,43 @@ def mix_batch(samples):
 """
 
 CLEAN_KERNEL_TEST = """\
-from repro.kernels import mix, mix_batch
+from repro.kernels import mix_batch
 
 
-def test_mix_batch_matches_scalar():
-    assert mix_batch([1.0]) is not None and mix([1.0]) is not None
+def test_mix_batch():
+    assert mix_batch([1.0]) is not None
+"""
+
+# A sweep trial (a ``StreamSpec(trial=...)`` root) whose helper
+# allocates without a dtype: exactly one R009 violation, anchored on
+# the ``np.zeros`` line of ``src/repro/kernels.py``.
+DIRTY_KERNELS = """\
+import numpy as np
+
+from repro.experiments.sweep import StreamSpec
+
+
+def demodulate_batch(rows):
+    return np.zeros(len(rows)){suppress}
+
+
+def draw_trial(context, args, rngs):
+    return [demodulate_batch(rngs)]
+
+
+STREAM = StreamSpec(key="k", rng_slot=0, budget=1, trial=draw_trial)
+"""
+DIRTY = DIRTY_KERNELS.format(suppress="")
+
+# Appended to DIRTY: a second trial-reachable dtype-less allocation.
+NEW_VIOLATION = """\
+
+
+def resample_batch(rows):
+    return np.empty(len(rows))
+
+
+SECOND = StreamSpec(key="r", rng_slot=1, budget=1, trial=resample_batch)
 """
 
 
@@ -59,71 +87,23 @@ def _codes(result):
     return sorted({diag.code for diag in result.diagnostics})
 
 
-class TestBatchScalarParity:
-    """R008: every batch kernel needs a scalar twin and a test anchor."""
-
-    def test_batch_without_scalar_counterpart_fails(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-            "tests/test_kernels.py": (
-                "from repro.kernels import demodulate_batch\n\n\n"
-                "def test_batch():\n    assert demodulate_batch([]) == []\n"
-            ),
-        })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
-        assert "scalar counterpart" in result.diagnostics[0].message
-
-    def test_batch_pair_without_test_reference_fails(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_other.py": "def test_unrelated():\n    assert True\n",
-        })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
-        assert "test" in result.diagnostics[0].message
-
-    def test_explicit_counterpart_attribute_resolves(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def decode(row):\n    return row\n\n\n"
-                "def fast_path_batch(rows):\n    return rows\n\n\n"
-                "fast_path_batch.scalar_counterpart = decode\n"
-            ),
-            "tests/test_kernels.py": (
-                "from repro.kernels import decode, fast_path_batch\n\n\n"
-                "def test_pair():\n"
-                "    assert fast_path_batch([1]) == [1] and decode(1) == 1\n"
-            ),
-        })
-        result = _lint(tmp_path, select=["R008"])
-        assert result.diagnostics == []
-
-    def test_tested_pair_passes(self, tmp_path):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": CLEAN_KERNELS,
-            "tests/test_kernels.py": CLEAN_KERNEL_TEST,
-        })
-        result = _lint(tmp_path, select=["R008"])
-        assert result.diagnostics == []
-
-
 class TestDtypePromotionHygiene:
     """R009: no implicit float64 defaults on trial-reachable paths."""
 
     FIXTURE = """\
 import numpy as np
 
-from repro.experiments.engine import batch_trial
-
 
 def _make_buffer(count):
     return np.zeros(count{dtype})
 
 
-@batch_trial
-def draw_trial(context, args, rng):
-    return _make_buffer(4)
+def draw_trial(context, args, rngs):
+    return [_make_buffer(4) for _ in rngs]
+
+
+def run(session):
+    return session.run(draw_trial, 4)
 """
 
     def test_dtypeless_allocation_on_trial_path_fails(self, tmp_path):
@@ -146,6 +126,23 @@ def draw_trial(context, args, rng):
                 "from repro.trials import _make_buffer, draw_trial\n\n\n"
                 "def test_trial():\n"
                 "    assert draw_trial is not None and _make_buffer is not None\n"
+            ),
+        })
+        result = _lint(tmp_path, select=["R009"])
+        assert result.diagnostics == []
+
+    def test_stream_spec_trial_is_trial_reachable(self, tmp_path):
+        """A function declared as ``StreamSpec(trial=...)`` is a root."""
+        _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
+        result = _lint(tmp_path, select=["R009"])
+        assert _codes(result) == ["R009"]
+        (diag,) = result.diagnostics
+        assert "trial-reachable via demodulate_batch" in diag.message
+
+    def test_unregistered_function_is_not_trial_reachable(self, tmp_path):
+        _write_project(tmp_path, {
+            "src/repro/kernels.py": DIRTY.replace(
+                "STREAM = StreamSpec(", "STREAM = dict("
             ),
         })
         result = _lint(tmp_path, select=["R009"])
@@ -251,24 +248,20 @@ class TestCrossModuleSuppression:
 
     def test_anchor_file_disable_suppresses_project_rule(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def demodulate_batch(rows):"
-                "  # reprolint: disable=R008\n"
-                "    return rows\n"
+            "src/repro/kernels.py": DIRTY_KERNELS.format(
+                suppress="  # reprolint: disable=R009"
             ),
         })
-        result = _lint(tmp_path, select=["R008"])
+        result = _lint(tmp_path, select=["R009"])
         assert result.diagnostics == []
 
     def test_disable_in_another_file_does_not_leak(self, tmp_path):
         _write_project(tmp_path, {
-            "src/repro/kernels.py": (
-                "def demodulate_batch(rows):\n    return rows\n"
-            ),
-            "src/repro/other.py": "# reprolint: disable=R008\n",
+            "src/repro/kernels.py": DIRTY,
+            "src/repro/other.py": "# reprolint: disable=R009\n",
         })
-        result = _lint(tmp_path, select=["R008"])
-        assert _codes(result) == ["R008"]
+        result = _lint(tmp_path, select=["R009"])
+        assert _codes(result) == ["R009"]
 
 
 class TestIncrementalCache:
@@ -293,13 +286,11 @@ class TestIncrementalCache:
     def test_cached_run_still_reports_project_violations(self, tmp_path):
         """Project rules re-run from cached summaries — a second lint
         must not lose cross-module diagnostics to the cache."""
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
+        root = _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
         cache_dir = str(tmp_path / ".repro-lint-cache")
-        cold = _lint(root, cache_dir=cache_dir, select=["R008"])
-        warm = _lint(root, cache_dir=cache_dir, select=["R008"])
-        assert _codes(cold) == _codes(warm) == ["R008"]
+        cold = _lint(root, cache_dir=cache_dir, select=["R009"])
+        warm = _lint(root, cache_dir=cache_dir, select=["R009"])
+        assert _codes(cold) == _codes(warm) == ["R009"]
         assert warm.cache_hits == 1
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
@@ -319,42 +310,36 @@ class TestBaselineRatchet:
     """Adopt existing debt, stay green, fail only on new violations."""
 
     def test_adopt_then_green_then_new_violation_fails(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
+        root = _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
         baseline_path = tmp_path / "reprolint-baseline.json"
 
-        dirty = _lint(root, select=["R008"])
-        assert _codes(dirty) == ["R008"]
+        dirty = _lint(root, select=["R009"])
+        assert _codes(dirty) == ["R009"]
         adopted = write_baseline(str(baseline_path), dirty.diagnostics)
         assert adopted == len(dirty.diagnostics)
 
         budget = load_baseline(str(baseline_path))
-        clean = _lint(root, select=["R008"], baseline=budget)
+        clean = _lint(root, select=["R009"], baseline=budget)
         assert clean.diagnostics == []
         assert clean.baselined == len(dirty.diagnostics)
 
         kernels = root / "src" / "repro" / "kernels.py"
-        kernels.write_text(
-            kernels.read_text() + "\n\ndef resample_batch(rows):\n    return rows\n"
-        )
+        kernels.write_text(kernels.read_text() + NEW_VIOLATION)
         budget = load_baseline(str(baseline_path))
-        regressed = _lint(root, select=["R008"], baseline=budget)
-        assert _codes(regressed) == ["R008"]
+        regressed = _lint(root, select=["R009"], baseline=budget)
+        assert _codes(regressed) == ["R009"]
         assert all("resample_batch" in d.message for d in regressed.diagnostics)
 
     def test_baseline_matches_despite_line_drift(self, tmp_path):
-        root = _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
+        root = _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
         baseline_path = tmp_path / "baseline.json"
         write_baseline(
-            str(baseline_path), _lint(root, select=["R008"]).diagnostics
+            str(baseline_path), _lint(root, select=["R009"]).diagnostics
         )
         kernels = root / "src" / "repro" / "kernels.py"
         kernels.write_text("# a new leading comment\n" + kernels.read_text())
         budget = load_baseline(str(baseline_path))
-        drifted = _lint(root, select=["R008"], baseline=budget)
+        drifted = _lint(root, select=["R009"], baseline=budget)
         assert drifted.diagnostics == []
 
     def test_malformed_baseline_raises(self, tmp_path):
@@ -378,34 +363,30 @@ class TestCliSurface:
 
     def test_unknown_ignore_code_exits_2(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text("x = 1\n")
-        code = self._run([str(tmp_path), "--ignore", "R008,R999", "--no-cache"])
+        code = self._run([str(tmp_path), "--ignore", "R009,R999", "--no-cache"])
         assert code == 2
         assert "R999" in capsys.readouterr().err
 
     def test_json_report_carries_cross_module_diagnostics(
         self, tmp_path, capsys
     ):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
+        _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
         code = self._run([
-            str(tmp_path / "src"), "--select", "R008",
+            str(tmp_path / "src"), "--select", "R009",
             "--format", "json", "--no-cache",
         ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 2
         assert payload["summary"]["violations"] == len(payload["diagnostics"])
-        (diag,) = [d for d in payload["diagnostics"] if d["code"] == "R008"]
+        (diag,) = [d for d in payload["diagnostics"] if d["code"] == "R009"]
         assert diag["path"].endswith("kernels.py")
         assert set(diag) >= {"path", "line", "column", "code", "message"}
         summary = payload["summary"]
         assert {"cache_hits", "cache_misses", "baselined"} <= set(summary)
 
     def test_write_then_apply_baseline_through_cli(self, tmp_path, capsys):
-        _write_project(tmp_path, {
-            "src/repro/kernels.py": "def demodulate_batch(rows):\n    return rows\n",
-        })
+        _write_project(tmp_path, {"src/repro/kernels.py": DIRTY})
         baseline = str(tmp_path / "baseline.json")
         target = str(tmp_path / "src")
 

@@ -108,9 +108,21 @@ class TestOracleParity:
         assert result_cells(result, baseline["columns"]) == baseline["rows"]
 
     def test_batch_toggle_is_bit_identical(self):
+        """Batching off — every trial a batch of one — keeps the rows."""
         oracle = load_oracle("table2", "fixed")
-        scalar = run_from_oracle("table2", oracle, batch=False)
-        assert result_cells(scalar, oracle["columns"]) == oracle["rows"]
+        unbatched = run_from_oracle("table2", oracle, chunk_size=1)
+        assert result_cells(unbatched, oracle["columns"]) == oracle["rows"]
+
+    @pytest.mark.parametrize("engine", [
+        {"chunk_size": 1}, {}, {"workers": 2},
+    ], ids=["chunk1", "default-chunks", "workers2"])
+    @pytest.mark.parametrize("experiment_id", ["table5", "fig13"])
+    def test_real_environment_rows_match_oracle_for_any_chunking(
+        self, experiment_id, engine
+    ):
+        oracle = load_oracle(experiment_id, "fixed")
+        result = run_from_oracle(experiment_id, oracle, **engine)
+        assert result_cells(result, oracle["columns"]) == oracle["rows"]
 
 
 SCENARIO = {
