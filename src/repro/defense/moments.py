@@ -114,7 +114,9 @@ def estimate_cumulants_batch(
         m20 = np.mean(d**2, axis=-1)
         m21 = np.mean(np.abs(d) ** 2, axis=-1)
         m40 = np.mean(d**4, axis=-1)
-        m41 = np.mean(d**3 * np.conj(d), axis=-1)
+        cubed = d**3
+        conj_d = np.conj(d)
+        m41 = np.mean(cubed * conj_d, axis=-1)
         m42 = np.mean(np.abs(d) ** 4, axis=-1)
 
     results: List[CumulantEstimate] = []

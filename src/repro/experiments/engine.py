@@ -71,10 +71,15 @@ trial is a batch: a chunk's healthy trials run as one call, and a
 single trial (a retry, or a chunk of size one) is a batch of one.  Each
 generator is rebuilt from its trial's own stream seed, so a trial whose
 rows are independent of each other produces identical rows for any
-chunking.  ``workers=None`` or ``1`` runs the same code path in
-process; ``workers="auto"`` resolves to the host CPU count; if the pool cannot be created (restricted
-sandboxes, missing semaphores) the engine falls back to the sequential
-executor and records it on ``engine.used_fallback``.
+chunking.  Without an explicit ``chunk_size`` a run is split into
+``DEFAULT_CHUNKS_PER_WORKER`` chunks per worker, but no chunk holds
+fewer than ``MIN_CHUNK_TRIALS`` trials unless that would leave a worker
+idle: each batched call has a fixed cost, so a small run pays it once
+per chunk rather than once per trial.  ``workers=None`` or ``1`` runs
+the same code path in process; ``workers="auto"`` resolves to the host
+CPU count; if the pool cannot be created (restricted sandboxes, missing
+semaphores) the engine falls back to the sequential executor and
+records it on ``engine.used_fallback``.
 """
 
 from __future__ import annotations
@@ -105,8 +110,15 @@ TrialFn = Callable[
 
 #: Chunks target this many dispatches per worker when no explicit
 #: ``chunk_size`` is given — large enough to amortize IPC, small enough
-#: to load-balance uneven trial costs.
+#: to load-balance uneven trial costs.  Large runs are split this way.
 DEFAULT_CHUNKS_PER_WORKER = 4
+
+#: Floor on a derived chunk: every chunk is one batched trial call, and
+#: each call pays a fixed cost (about 11 ms in the O-QPSK phase loop)
+#: whether it holds 1 row or 32, so small runs are not split below this
+#: many trials — unless the floor would leave a worker idle, in which
+#: case each worker gets ``ceil(count / workers)``.
+MIN_CHUNK_TRIALS = 8
 
 #: Valid ``on_error`` policies (see :class:`MonteCarloEngine`).
 ON_ERROR_POLICIES = ("raise", "retry", "skip")
@@ -773,8 +785,8 @@ class MonteCarloEngine:
             in-process sequential executor (the default — experiments
             stay dependency- and fork-free unless asked); ``"auto"``
             resolves to the host CPU count.
-        chunk_size: trials per dispatched chunk; ``None`` derives
-            ``ceil(count / (workers * DEFAULT_CHUNKS_PER_WORKER))``.
+        chunk_size: trials per dispatched chunk; ``None`` derives it
+            from the run (see :meth:`resolve_chunk_size`).
         on_error: trial-failure policy — ``"raise"`` (default) turns
             the first failure into :class:`TrialExecutionError`,
             ``"retry"`` re-runs a failing trial up to ``max_retries``
@@ -816,12 +828,18 @@ class MonteCarloEngine:
         self.used_fallback = False
 
     def resolve_chunk_size(self, count: int) -> int:
-        """The chunk size used for a ``count``-trial run."""
+        """The chunk size used for a ``count``-trial run.
+
+        An explicit ``chunk_size`` wins; otherwise::
+
+            max(ceil(count / (workers * DEFAULT_CHUNKS_PER_WORKER)),
+                min(ceil(count / workers), MIN_CHUNK_TRIALS))
+        """
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(
-            1, math.ceil(count / (self.workers * DEFAULT_CHUNKS_PER_WORKER))
-        )
+        balanced = math.ceil(count / (self.workers * DEFAULT_CHUNKS_PER_WORKER))
+        floor = min(math.ceil(count / self.workers), MIN_CHUNK_TRIALS)
+        return max(1, balanced, floor)
 
     def session(self, context: Optional[Dict[str, Any]] = None) -> EngineSession:
         """Open an execution session sharing ``context`` with workers.

@@ -90,7 +90,8 @@ class QuadratureDemodulator:
         steps = np.empty((batch, max(n - 1, 0)), dtype=np.float64)
         for row in range(batch):
             line = waveforms[row]
-            steps[row] = np.angle(line[1:] * np.conj(line[:-1]))
+            lagged = np.conj(line[:-1])
+            steps[row] = np.angle(line[1:] * lagged)
         # Chip n sums its within-chip steps [n*sps, (n+1)*sps - 1); the
         # boundary step is excluded (it straddles two chips).
         needed = num_chips * sps

@@ -181,9 +181,14 @@ class Synchronizer:
         if self.estimate_cfo:
             cfo = self._estimate_cfo_batch(samples, peaks)
             steps = np.arange(m)[np.newaxis, :]
-            corrected = windows * np.exp(
+            # Bound to a name so numpy cannot elide the temporary and
+            # compute ``rotation * windows`` instead: for complex arrays
+            # that swap changes the last ulp, and the elision only kicks
+            # in above 256 KiB, so the phase would depend on batch size.
+            rotation = np.exp(
                 -2j * np.pi * cfo[:, np.newaxis] * steps / self.sample_rate_hz
             )
+            corrected = windows * rotation
         else:
             corrected = windows
         phases = np.angle(
@@ -237,7 +242,8 @@ class Synchronizer:
         first = np.sum(head * received[:, :half], axis=-1)
         second = np.sum(tail * received[:, half : 2 * half], axis=-1)
         valid = usable & (np.abs(first) != 0.0) & (np.abs(second) != 0.0)
-        phase_step = np.angle(second * np.conj(first))
+        conj_first = np.conj(first)
+        phase_step = np.angle(second * conj_first)
         estimate = phase_step / (2.0 * np.pi * half / self.sample_rate_hz)
         cfo[valid] = estimate[valid]
         return cfo

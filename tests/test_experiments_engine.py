@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, telemetry merge, fallback."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ class TestEngineConfig:
         assert engine.resolve_chunk_size(160) == 10
         assert engine.resolve_chunk_size(1) == 1
         assert MonteCarloEngine(workers=4, chunk_size=3).resolve_chunk_size(160) == 3
+
+    @pytest.mark.parametrize(
+        "count, workers, chunk",
+        [(8, 2, 4), (8, 1, 8), (30, 1, 8), (600, 1, 150), (3, 2, 2), (1, 4, 1)],
+    )
+    def test_small_runs_keep_a_minimum_chunk(self, count, workers, chunk):
+        assert MonteCarloEngine(workers=workers).resolve_chunk_size(count) == chunk
+
+    def test_chunk_never_leaves_a_worker_idle(self):
+        for workers in (1, 2, 3, 4, 8):
+            engine = MonteCarloEngine(workers=workers)
+            for count in range(1, 400):
+                chunk = engine.resolve_chunk_size(count)
+                assert 1 <= chunk <= math.ceil(count / workers)
 
     def test_negative_trial_count_rejected(self):
         with MonteCarloEngine().session({}) as session:
