@@ -52,7 +52,6 @@ DIRECT_STREAM_WRITES = {
 ENGINE_WIRING_NAMES = {
     "MonteCarloEngine",
     "open_checkpoint_store",
-    "AdaptiveSweep",
 }
 
 #: Path suffixes allowed to touch the engine-wiring primitives: the
@@ -62,7 +61,6 @@ ENGINE_WIRING_HOMES = (
     "repro/experiments/sweep.py",
     "repro/experiments/engine.py",
     "repro/experiments/checkpoint.py",
-    "repro/experiments/adaptive.py",
     "repro/experiments/bench.py",
     "repro/experiments/__init__.py",
 )
@@ -590,13 +588,13 @@ class NoSloppyLibraryCode:
 
 @rule
 class NoDirectEngineWiring:
-    """R012 — engine/checkpoint/adaptive wiring lives in the sweep runner."""
+    """R012 — engine and checkpoint wiring lives in the sweep runner."""
 
     code = "R012"
     name = "no-direct-engine-wiring"
     rationale = (
-        "Experiment drivers that hand-wire MonteCarloEngine, checkpoint "
-        "stores, or AdaptiveSweep re-implement the sweep runner's "
+        "Experiment drivers that hand-wire MonteCarloEngine or checkpoint "
+        "stores re-implement the sweep runner's "
         "fingerprinting, RNG-slot, and telemetry contracts and drift out "
         "of them; drivers declare a SweepSpec and let run_sweep own the "
         "wiring."

@@ -16,56 +16,50 @@ training authentication literature (Xu et al., arXiv:1901.07897):
   naive Wald interval collapses;
 * **means** (D_E^2 distances, RSSI readings) converge by a Welford
   running mean/variance with a normal-approximation interval;
-* a point stops once its interval half-width reaches a target
-  *relative precision* (default 10 %) or a hard per-point cap, and
-  the trials it did not spend are **reallocated to points that did
+* a stream stops once its interval half-width reaches a target
+  *relative precision* (default 10 %) or a hard per-stream cap, and
+  the trials it did not spend are **reallocated to streams that did
   not converge** — typically the ones straddling the paper's Q = 0.5
   threshold, exactly where extra precision matters.
 
-Trials execute in chunks through :meth:`EngineSession.run_until`, whose
-seed streams are drawn from the same parent generator the fixed-budget
-path uses — so the first ``n`` trials of an adaptive run are
-bit-identical to a fixed ``n``-trial run at the same seed, and the
-stopping decisions themselves are deterministic (they depend only on
-trial outcomes, never on the wall clock).
+This module holds the statistics and the policy knobs: the interval
+math, the two estimators, and :class:`AdaptiveConfig`.  The scheduler
+that applies them is the single stream loop of
+:func:`repro.experiments.sweep.run_sweep`: pass 1 grants each stream
+chunks of :meth:`AdaptiveConfig.resolve_chunk` trials until it
+converges (after at least :data:`MIN_TRIALS`) or reaches its base
+budget; pass 2 grants the saved trials round-robin, in plan order, to
+the unconverged streams until each converges, reaches
+:meth:`AdaptiveConfig.resolve_cap`, or the savings run dry.
 
-Usage, as the sweep drivers wire it::
-
-    sweep = AdaptiveSweep(session, base_trials=trials,
-                          config=AdaptiveConfig(rel_precision=0.1),
-                          experiment="table2")
-    state = sweep.point(trial_fn, rng=point_rng, static_args=(snr,),
-                        estimator=sweep.rate_estimator(),
-                        extract=lambda row: row[0], key="snr17")
-    ...                       # register every pending point (pass 1)
-    sweep.settle()            # reallocate savings to stragglers (pass 2)
-    outcome = state.outcome() # estimate, CI, trials_used, results
+Trials execute through :meth:`EngineSession.run_until`, whose seed
+streams are drawn from the same parent generator the fixed-budget path
+uses — so the first ``n`` trials of an adaptive run are bit-identical
+to a fixed ``n``-trial run at the same seed, and the stopping decisions
+themselves are deterministic (they depend only on trial outcomes, never
+on the wall clock).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import EngineSession, IncrementalRun, TrialFn
-from repro.telemetry import get_telemetry
-from repro.telemetry.events import get_event_stream
-from repro.utils.rng import RngLike
 
-#: Default target relative half-width of a point's confidence interval.
+#: Default target relative half-width of a stream's confidence interval.
 DEFAULT_REL_PRECISION = 0.1
 
-#: Default two-sided confidence level for the intervals.
-DEFAULT_CONFIDENCE = 0.95
+#: Two-sided confidence level of every interval.
+CONFIDENCE = 0.95
 
-#: Trials a point must execute before its interval is trusted at all —
-#: guards against a lucky first chunk stopping a point absurdly early.
-DEFAULT_MIN_TRIALS = 16
+#: Trials a stream must execute before its interval is trusted at all —
+#: guards against a lucky first chunk stopping a stream absurdly early.
+MIN_TRIALS = 16
 
-#: Default hard cap, as a multiple of the point's base budget, on how
-#: far reallocation may grow an unconverged point.
+#: Default hard cap, as a multiple of the stream's base budget, on how
+#: far reallocation may grow an unconverged stream.
 DEFAULT_MAX_TRIALS_FACTOR = 4
 
 
@@ -91,6 +85,10 @@ def normal_quantile(p: float) -> float:
         if high - low < 1e-12:
             break
     return 0.5 * (low + high)
+
+
+#: The normal quantile matching :data:`CONFIDENCE`.
+CONFIDENCE_Z = normal_quantile(0.5 + CONFIDENCE / 2.0)
 
 
 def wilson_interval(
@@ -243,52 +241,35 @@ class MeanEstimator:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the adaptive allocator.
+    """The two user-facing knobs of the adaptive allocator.
 
     Attributes:
-        rel_precision: target relative half-width of each point's
+        rel_precision: target relative half-width of each stream's
             confidence interval (``--rel-precision``, default 10 %).
-        confidence: two-sided confidence level of the intervals.
-        min_trials: floor before any stopping decision is trusted.
-        chunk_trials: trials per increment between interval checks;
-            ``None`` derives ``max(8, base // 8)`` per point so the
-            batched fast path still amortizes its per-call overhead.
-        max_trials: hard per-point cap reallocation may grow a point
+        max_trials: hard per-stream cap reallocation may grow a stream
             to (``--max-trials``); ``None`` derives
             ``DEFAULT_MAX_TRIALS_FACTOR * base``.
     """
 
     rel_precision: float = DEFAULT_REL_PRECISION
-    confidence: float = DEFAULT_CONFIDENCE
-    min_trials: int = DEFAULT_MIN_TRIALS
-    chunk_trials: Optional[int] = None
     max_trials: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_precision < 1.0:
             raise ConfigurationError("rel_precision must be in (0, 1)")
-        if not 0.5 < self.confidence < 1.0:
-            raise ConfigurationError("confidence must be in (0.5, 1)")
-        if self.min_trials < 1:
-            raise ConfigurationError("min_trials must be >= 1")
-        if self.chunk_trials is not None and self.chunk_trials < 1:
-            raise ConfigurationError("chunk_trials must be >= 1")
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigurationError("max_trials must be >= 1")
 
-    @property
-    def z(self) -> float:
-        """The normal quantile matching ``confidence``."""
-        return normal_quantile(0.5 + self.confidence / 2.0)
-
     def resolve_chunk(self, base: int) -> int:
-        """Trials per increment for a point with base budget ``base``."""
-        if self.chunk_trials is not None:
-            return max(1, min(self.chunk_trials, max(base, 1)))
+        """Trials per grant for a stream with base budget ``base``.
+
+        ``max(8, base // 8)``, never above the base budget, so the
+        batched fast path still amortizes its per-call overhead.
+        """
         return max(1, min(max(8, base // 8), max(base, 1)))
 
     def resolve_cap(self, base: int) -> int:
-        """The hard trial cap for a point with base budget ``base``."""
+        """The hard trial cap for a stream with base budget ``base``."""
         if self.max_trials is not None:
             return max(self.max_trials, base)
         return DEFAULT_MAX_TRIALS_FACTOR * max(base, 1)
@@ -297,277 +278,21 @@ class AdaptiveConfig:
         """The checkpoint-fingerprint fragment for adaptive sweeps.
 
         Any knob that changes which trials run must split the
-        checkpoint namespace, or a resumed sweep could splice points
+        checkpoint namespace, or a resumed sweep could splice streams
         collected under different stopping rules.
         """
         return {
             "rel_precision": self.rel_precision,
-            "confidence": self.confidence,
-            "min_trials": self.min_trials,
-            "chunk_trials": self.chunk_trials,
             "max_trials": self.max_trials,
         }
 
 
-@dataclass
-class AdaptivePointOutcome:
-    """Everything a driver needs to build a settled point's row."""
-
-    results: List[Any]
-    trials_used: int
-    converged: bool
-    capped: bool
-    estimate: float
-    ci_low: float
-    ci_high: float
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-friendly stats for checkpoints and result rows."""
-        return {
-            "trials_used": self.trials_used,
-            "converged": self.converged,
-            "capped": self.capped,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
-
-@dataclass
-class AdaptivePointState:
-    """One adaptive sweep point: its open trial stream and estimator."""
-
-    key: str
-    stream: IncrementalRun
-    estimator: Any
-    extract: Callable[[Any], Any]
-    base: int
-    converged: bool = False
-    capped: bool = False
-    _settled: bool = field(default=False, repr=False)
-
-    def observe(self, rows: List[Any]) -> None:
-        """Fold freshly executed rows into the estimator."""
-        self.estimator.add([self.extract(row) for row in rows])
-
-    def outcome(self) -> AdaptivePointOutcome:
-        """The settled point's estimate, interval, and raw results."""
-        if not self._settled:
-            raise ConfigurationError(
-                f"adaptive point {self.key!r} read before AdaptiveSweep."
-                f"settle(); register every point first, then settle"
-            )
-        low, high = self.estimator.interval()
-        return AdaptivePointOutcome(
-            results=list(self.stream.results),
-            trials_used=self.stream.trials,
-            converged=self.converged,
-            capped=self.capped,
-            estimate=self.estimator.estimate,
-            ci_low=float(low),
-            ci_high=float(high),
-        )
-
-
-class AdaptiveSweep:
-    """Budget-reallocating adaptive executor over one sweep's points.
-
-    Two passes:
-
-    1. :meth:`point` runs each registered point immediately, in chunks,
-       stopping at convergence or at the point's base budget — never
-       above it, so pass 1 can only *save* trials;
-    2. :meth:`settle` grants the saved trials to the points that did
-       not converge, chunk by chunk in registration order (deterministic
-       round-robin), until each converges, hits its hard cap, or the
-       pool runs dry.
-
-    The savings accounting is exact: ``trials_executed`` never exceeds
-    ``trials_base`` (the fixed-budget total of the registered points),
-    and the difference is what the sweep's ``engine.trials_saved``
-    counter reports.
-
-    Args:
-        session: an open :class:`EngineSession` the trials run on.
-        base_trials: default per-point budget (the fixed-budget
-            ``trials`` the sweep would otherwise spend).
-        config: stopping-rule knobs; defaults throughout.
-        experiment: experiment id stamped on ``point_converged`` events.
-    """
-
-    def __init__(
-        self,
-        session: EngineSession,
-        base_trials: int,
-        config: Optional[AdaptiveConfig] = None,
-        experiment: str = "sweep",
-    ):
-        if base_trials < 1:
-            raise ConfigurationError("base_trials must be >= 1")
-        self._session = session
-        self._experiment = experiment
-        self.config = config or AdaptiveConfig()
-        self.base_trials = int(base_trials)
-        self.saved = 0
-        self._points: List[AdaptivePointState] = []
-        self._settled = False
-
-    # -- estimator factories ------------------------------------------
-
-    def rate_estimator(self) -> RateEstimator:
-        """A Wilson-interval rate tracker at this sweep's confidence."""
-        return RateEstimator(z=self.config.z)
-
-    def mean_estimator(self) -> MeanEstimator:
-        """A Welford mean tracker at this sweep's confidence."""
-        return MeanEstimator(z=self.config.z)
-
-    # -- accounting ----------------------------------------------------
-
-    @property
-    def trials_base(self) -> int:
-        """Fixed-budget trial total of every registered point."""
-        return sum(state.base for state in self._points)
-
-    @property
-    def trials_executed(self) -> int:
-        """Trials actually executed across every registered point."""
-        return sum(state.stream.trials for state in self._points)
-
-    @property
-    def trials_saved(self) -> int:
-        """Net trials the adaptive rule saved versus the fixed budget."""
-        return self.trials_base - self.trials_executed
-
-    # -- pass 1: per-point sequential estimation ----------------------
-
-    def point(
-        self,
-        trial: TrialFn,
-        rng: RngLike = None,
-        static_args: Tuple[Any, ...] = (),
-        estimator: Any = None,
-        extract: Callable[[Any], Any] = lambda row: row,
-        key: str = "",
-        base: Optional[int] = None,
-    ) -> AdaptivePointState:
-        """Register and run one sweep point up to its base budget.
-
-        Args:
-            trial: the engine trial function (one row per generator).
-            rng: the point's stream source — the same one the
-                fixed-budget driver hands ``session.run``, so the
-                executed prefix stays bit-identical.
-            static_args: per-point parameters passed to every trial.
-            estimator: a :class:`RateEstimator` or
-                :class:`MeanEstimator` (default: mean).
-            extract: maps one raw trial result to the estimator's
-                observation (rate: truthy/falsy; mean: float or
-                ``None`` to skip).
-            key: point label for events and error messages.
-            base: per-point budget override (default: the sweep's
-                ``base_trials``).
-        """
-        if self._settled:
-            raise ConfigurationError(
-                "AdaptiveSweep.settle() already ran; open a new sweep"
-            )
-        budget = self.base_trials if base is None else int(base)
-        if budget < 1:
-            raise ConfigurationError("point budget must be >= 1")
-        state = AdaptivePointState(
-            key=key,
-            stream=self._session.run_until(trial, rng, static_args),
-            estimator=estimator if estimator is not None
-            else self.mean_estimator(),
-            extract=extract,
-            base=budget,
-        )
-        chunk = self.config.resolve_chunk(budget)
-        while state.stream.trials < budget:
-            step = min(chunk, budget - state.stream.trials)
-            state.observe(state.stream.extend(step))
-            if (
-                state.stream.trials >= min(self.config.min_trials, budget)
-                and state.estimator.converged(self.config.rel_precision)
-            ):
-                state.converged = True
-                break
-        self.saved += budget - state.stream.trials
-        self._points.append(state)
-        return state
-
-    # -- pass 2: reallocation ------------------------------------------
-
-    def settle(self) -> None:
-        """Spend the saved trials on unconverged points, then account.
-
-        Grants go chunk by chunk in registration order so every pass is
-        deterministic; a point leaves the rotation when it converges,
-        reaches its hard cap, or the pool empties.  Afterwards each
-        point's stats land on the telemetry plane: one
-        ``point_converged`` event per point plus the sweep-level
-        ``engine.trials_saved`` / ``engine.points_capped`` counters.
-        """
-        if self._settled:
-            return
-        pending = [state for state in self._points if not state.converged]
-        while pending and self.saved > 0:
-            progressed = False
-            for state in list(pending):
-                cap = self.config.resolve_cap(state.base)
-                if state.stream.trials >= cap:
-                    state.capped = True
-                    pending.remove(state)
-                    continue
-                step = min(
-                    self.config.resolve_chunk(state.base),
-                    cap - state.stream.trials,
-                    self.saved,
-                )
-                if step <= 0:
-                    continue
-                state.observe(state.stream.extend(step))
-                self.saved -= step
-                progressed = True
-                if state.estimator.converged(self.config.rel_precision):
-                    state.converged = True
-                    pending.remove(state)
-                if self.saved <= 0:
-                    break
-            if not progressed:
-                break
-        for state in pending:
-            if state.stream.trials >= self.config.resolve_cap(state.base):
-                state.capped = True
-        self._settled = True
-        telemetry = get_telemetry()
-        stream = get_event_stream()
-        capped_points = 0
-        for state in self._points:
-            state._settled = True
-            if not state.converged:
-                capped_points += 1
-            low, high = state.estimator.interval()
-            stream.point_converged(
-                self._experiment,
-                state.key,
-                trials_used=state.stream.trials,
-                trials_saved=state.base - state.stream.trials,
-                converged=state.converged,
-                estimate=_json_float(state.estimator.estimate),
-                ci_low=_json_float(low),
-                ci_high=_json_float(high),
-            )
-        if self.trials_saved > 0:
-            telemetry.count("engine.trials_saved", self.trials_saved)
-        if capped_points:
-            telemetry.count("engine.points_capped", capped_points)
-
-
-def _json_float(value: float) -> Optional[float]:
-    """NaN/inf become ``None`` so event records stay strict JSON."""
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        return None
-    return value
+def make_estimator(kind: str) -> Any:
+    """A fresh ``"rate"`` (Wilson) or ``"mean"`` (Welford) estimator."""
+    if kind == "rate":
+        return RateEstimator(z=CONFIDENCE_Z)
+    if kind == "mean":
+        return MeanEstimator(z=CONFIDENCE_Z)
+    raise ConfigurationError(
+        f"unknown estimator kind {kind!r}; expected 'rate' or 'mean'"
+    )

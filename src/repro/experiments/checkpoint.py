@@ -1,28 +1,29 @@
 """Crash-safe checkpointing for Monte Carlo sweeps.
 
 Paper-scale campaigns (Tables II, IV, V; Figs. 12-14) are hours of
-independent sweep points; a killed process should cost the point that
+independent trial streams; a killed process should cost the stream that
 was in flight, not the campaign.  :class:`CheckpointStore` persists one
-JSON document per completed sweep point under a caller-chosen directory
+JSON document per finished stream under a caller-chosen directory
 using the atomic write-then-rename primitive in :mod:`repro.utils.io`,
-and on ``resume=True`` serves those documents back so the driver skips
-straight to the first incomplete point::
+and on ``resume=True`` serves those documents back so the sweep runner
+skips every stream already done::
 
     store = open_checkpoint_store("ckpt", "table2",
                                   fingerprint={"seed": 1, "trials": 1000},
                                   resume=True)
-    cached = store.get("snr7")            # row dict, or None
+    cached = store.get("snr7")            # stream payload, or None
     ...
-    store.save("snr7", row)               # atomic: old file or new file
+    store.save("snr7", payload)           # atomic: old file or new file
 
 A ``meta.json`` records the sweep's *fingerprint* — the seed and the
 parameters that shape the rows.  Resuming against a directory whose
 fingerprint differs raises :class:`~repro.errors.ConfigurationError`
-instead of silently splicing rows from two different campaigns; opening
-without ``resume`` invalidates any stale points first.  Resumed points
-bump the ``engine.points_resumed`` telemetry counter so ``--telemetry``
-output accounts for how much of a run was recovered rather than
-computed.
+instead of silently splicing rows from two different campaigns, and so
+does a directory written in another on-disk format
+(:data:`CHECKPOINT_FORMAT_VERSION`); opening without ``resume``
+invalidates any stale points first.  Resumed streams bump the
+``engine.points_resumed`` telemetry counter so ``--telemetry`` output
+accounts for how much of a run was recovered rather than computed.
 
 Checkpoint payloads must be JSON-serializable and round-trip exactly:
 Python floats serialize via ``repr`` and parse back bit-identical (NaN
@@ -44,8 +45,11 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.io import atomic_write_json, read_json
 
-#: Bumped when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped when the on-disk layout changes incompatibly.  Version 1 held
+#: one row (or value list) per sweep point; version 2 holds one
+#: ``StreamOutcome`` payload — raw trial rows plus settled stats — per
+#: trial stream.
+CHECKPOINT_FORMAT_VERSION = 2
 
 _META_FILENAME = "meta.json"
 _POINT_PREFIX = "point_"
@@ -58,7 +62,7 @@ def _normalized(fingerprint: Optional[Dict[str, Any]]) -> Any:
 
 
 class CheckpointStore:
-    """Atomic per-sweep-point result store under one directory.
+    """Atomic per-stream result store under one directory.
 
     Args:
         directory: root checkpoint directory (shared across
@@ -89,6 +93,14 @@ class CheckpointStore:
         meta_path = self._directory / _META_FILENAME
         if self._resume and meta_path.exists():
             meta = read_json(meta_path)
+            version = meta.get("format_version")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise ConfigurationError(
+                    f"checkpoint directory {self._directory} holds format "
+                    f"version {version!r}, but this code reads format "
+                    f"{CHECKPOINT_FORMAT_VERSION}; drop --resume to start "
+                    f"fresh"
+                )
             stored = _normalized(meta.get("fingerprint"))
             if stored != self._fingerprint:
                 raise ConfigurationError(

@@ -114,6 +114,22 @@ def statistic_trial(
     ]
 
 
+def distance_trial(
+    context: Dict[str, Any],
+    args: Tuple[Any, ...],
+    rngs: List[np.random.Generator],
+) -> List[Optional[float]]:
+    """:func:`statistic_trial` reduced to its D_E^2, one per RNG.
+
+    The sweep drivers checkpoint raw trial rows, so their trials return
+    plain floats (``None`` when the reception never reached the defense).
+    """
+    return [
+        None if sample is None else float(sample.distance_squared)
+        for sample in statistic_trial(context, args, rngs)
+    ]
+
+
 def screen_packets(
     packets: Sequence[Optional[ReceivedPacket]],
     detector: CumulantDetector,
@@ -197,11 +213,6 @@ def collect_statistics(
         statistic_trial, count, rng=rng, static_args=static_args
     )
     return [sample for sample in samples if sample is not None]
-
-
-def _distance_or_none(sample: Optional[StatisticSample]) -> Optional[float]:
-    """Adaptive-mean observation: D_E^2, or ``None`` for dropped rows."""
-    return None if sample is None else sample.distance_squared
 
 
 def mean_distance_squared(samples: Sequence[StatisticSample]) -> float:

@@ -21,10 +21,7 @@ from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
 )
-from repro.experiments.defense_common import (
-    _distance_or_none,
-    statistic_trial,
-)
+from repro.experiments.defense_common import distance_trial
 from repro.experiments.sweep import (
     PointSpec,
     ScenarioSupport,
@@ -63,9 +60,8 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
         )):
             streams.append(StreamSpec(
                 key=f"snr{snr:g}.{split}.{label}", rng_slot=4 * i + j,
-                budget=budgets[split], trial=statistic_trial,
+                budget=budgets[split], trial=distance_trial,
                 static_args=(label, "quadrature", False, snr),
-                kind="mean", extract=_distance_or_none,
             ))
         points.append(PointSpec(
             key=f"snr{snr:g}", streams=tuple(streams),
@@ -92,12 +88,11 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     ]
 
 
-def _build_rows(reduction: SweepReduction) -> None:
+def _rows(reduction: SweepReduction) -> None:
     snrs = [point.meta["snr_db"] for point in reduction.plan.points]
 
     def point_values(snr: float, split: str, label: str) -> List[float]:
-        payload = reduction.payloads[f"snr{snr:g}.{split}.{label}"]
-        return [float(value) for value in payload["values"]]
+        return reduction.outcomes[f"snr{snr:g}.{split}.{label}"].values
 
     train_zigbee: List[float] = []
     train_emulated: List[float] = []
@@ -149,8 +144,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="stream",
-    build_rows=_build_rows,
+    rows=_rows,
     detector=resolve_detector,
     scenario=ScenarioSupport(
         axes=("snrs_db", "train_per_class", "test_per_class"),

@@ -19,11 +19,11 @@ from repro.channel.pathloss import LinkBudget
 from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import ExperimentResult, prepare_authentic
 from repro.experiments.sweep import (
-    PointReduction,
     PointSpec,
     ScenarioSupport,
     StreamSpec,
     SweepPlan,
+    SweepReduction,
     SweepSpec,
     resolve_environment,
     run_sweep,
@@ -48,11 +48,6 @@ def _rssi_trial(
         relative_db = context["estimator"].estimate(received, start=600)
         readings.append(mean_rx_dbm + relative_db)
     return readings
-
-
-def _rssi_value(value: Optional[float]) -> Optional[float]:
-    """Adaptive-mean observation: the trial already returns dBm/None."""
-    return value
 
 
 def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
@@ -83,9 +78,7 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
             streams=(StreamSpec(
                 key=key, rng_slot=i, budget=per_point, trial=_rssi_trial,
                 static_args=(distance, mean_rx_dbm),
-                kind="mean", extract=_rssi_value,
             ),),
-            started_trials=per_point,
             meta={"distance_m": distance, "mean_rx_dbm": mean_rx_dbm},
         ))
     return SweepPlan(points=tuple(points), rng_slots=len(distances))
@@ -113,26 +106,23 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     return columns
 
 
-def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
-    meta = reduction.point.meta
-    key = reduction.point.key
+def _rows(reduction: SweepReduction) -> None:
     estimator = RssiEstimator(reference_dbm=0.0)
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        readings = [r for r in outcome.results if r is not None]
-    else:
-        readings = [r for r in reduction.results[key] if r is not None]
-    row = {
-        "distance_m": meta["distance_m"],
-        "budget_rssi_dbm": estimator.estimate_from_power_dbm(
-            meta["mean_rx_dbm"]
-        ),
-        "measured_rssi_dbm": float(np.mean(readings)),
-        "fading_spread_db": float(np.max(readings) - np.min(readings)),
-    }
-    if reduction.adaptive:
-        row["trials_used"] = outcome.trials_used
-    return row
+    for point in reduction.plan.points:
+        meta = point.meta
+        outcome = reduction.outcomes[point.key]
+        readings = outcome.values
+        row = {
+            "distance_m": meta["distance_m"],
+            "budget_rssi_dbm": estimator.estimate_from_power_dbm(
+                meta["mean_rx_dbm"]
+            ),
+            "measured_rssi_dbm": float(np.mean(readings)),
+            "fading_spread_db": float(np.max(readings) - np.min(readings)),
+        }
+        if reduction.adaptive:
+            row["trials_used"] = outcome.trials_used
+        reduction.result.add_row(**row)
 
 
 def _notes(config: Mapping[str, Any]) -> List[str]:
@@ -153,8 +143,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="point",
-    reduce_point=_reduce_point,
+    rows=_rows,
     notes=_notes,
     scenario=ScenarioSupport(
         axes=("distances_m", "packets_per_point"),
@@ -178,8 +167,8 @@ def run(
 ) -> ExperimentResult:
     """RSSI vs distance, analytic and measured.
 
-    ``checkpoint_dir``/``resume`` persist (and skip) completed distance
-    rows; ``on_error`` selects the engine's trial-failure policy.
+    ``checkpoint_dir``/``resume`` persist (and skip) finished distance
+    streams; ``on_error`` selects the engine's trial-failure policy.
     ``adaptive`` stops each distance point once the measured-RSSI
     Welford CI reaches ``rel_precision`` relative half-width (cap
     ``max_trials``), adding ``trials_used`` to each row.

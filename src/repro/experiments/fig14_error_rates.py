@@ -32,11 +32,11 @@ from repro.experiments.common import (
     propagate_batch,
 )
 from repro.experiments.sweep import (
-    PointReduction,
     PointSpec,
     ScenarioSupport,
     StreamSpec,
     SweepPlan,
+    SweepReduction,
     SweepSpec,
     resolve_environment,
     run_sweep,
@@ -44,7 +44,7 @@ from repro.experiments.sweep import (
 from repro.hardware.cc26x2 import cc26x2_receiver_config
 from repro.hardware.rssi import RssiEstimator
 from repro.hardware.usrp import usrp_receiver_config
-from repro.link.metrics import ErrorRateAccumulator
+from repro.link.metrics import symbol_errors
 from repro.utils.rng import RngLike
 from repro.zigbee.receiver import ZigBeeReceiver
 
@@ -53,31 +53,29 @@ def _link_trial(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
-) -> List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]]:
+) -> List[Optional[Tuple[int, bool]]]:
     """Propagated receptions, one per RNG; ``None`` marks a sync loss.
 
-    A row is ``(decoded_symbols, delivered, hamming_distances)`` so the
-    parent can replay the accumulator in trial order.
+    A row is ``(symbol_errors, delivered)``: the data symbols decoded
+    wrong against the sent payload (``sent.symbols[12:]``), and the
+    paper's packet-success flag.
     """
     link_key, rx_name, distance, loss_db = args
     prepared = context[link_key]
+    truth = prepared.sent.symbols[12:]
     packets = context["receivers"][rx_name].receive_batch(
         propagate_batch(
             context["env"], prepared, distance, rngs, extra_loss_db=loss_db
         ),
         prepared.on_air.sample_rate_hz,
     )
-    rows: List[Optional[Tuple[np.ndarray, bool, Optional[np.ndarray]]]] = []
-    for packet in packets:
-        if packet is None:
-            rows.append(None)
-            continue
-        rows.append((
-            packet.diagnostics.psdu_symbols,
+    return [
+        None if packet is None else (
+            symbol_errors(truth, packet.diagnostics.psdu_symbols),
             packet_delivered(prepared, packet),
-            packet.diagnostics.hamming_distances,
-        ))
-    return rows
+        )
+        for packet in packets
+    ]
 
 
 def _packet_error_flag(row: Any) -> bool:
@@ -115,7 +113,6 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
                 static_args=(label, rx_name, distance, losses[rx_name]),
                 kind="rate", extract=_packet_error_flag,
             ),),
-            started_trials=trials,
             meta={"distance_m": distance, "receiver": rx_name,
                   "waveform": label},
         ))
@@ -154,44 +151,41 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     return columns
 
 
-def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
-    meta = reduction.point.meta
-    distance = meta["distance_m"]
-    label = meta["waveform"]
-    key = reduction.point.key
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        cell_outcomes = outcome.results
-    else:
-        cell_outcomes = reduction.results[key]
-    accumulator = ErrorRateAccumulator()
-    truth = reduction.context[label].sent.symbols[12:]
-    for cell_outcome in cell_outcomes:
-        if cell_outcome is None:
-            accumulator.record_lost(truth.size)
-            continue
-        decoded, delivered, hamming = cell_outcome
-        accumulator.record(truth, decoded, delivered, hamming)
+def _rows(reduction: SweepReduction) -> None:
     mean_budget = _mean_budget(reduction.config)
     rssi = RssiEstimator(reference_dbm=0.0)
-    row = {
-        "distance_m": distance,
-        "receiver": meta["receiver"],
-        "waveform": label,
-        "packet_error_rate": accumulator.packet_error_rate,
-        "symbol_error_rate": accumulator.symbol_error_rate,
-        "snr_db": float(mean_budget.snr_db(distance)),
-        "rssi_dbm": rssi.estimate_from_power_dbm(
-            float(mean_budget.received_power_dbm(distance))
-        ),
-    }
-    if reduction.adaptive:
-        row.update(
-            trials_used=outcome.trials_used,
-            ci_low=outcome.ci_low,
-            ci_high=outcome.ci_high,
+    for point in reduction.plan.points:
+        meta = point.meta
+        distance = meta["distance_m"]
+        label = meta["waveform"]
+        outcome = reduction.outcomes[point.key]
+        symbols = reduction.context[label].sent.symbols[12:].size
+        # A lost packet (None) fails, and all of its symbols are errors.
+        packets_failed = sum(
+            1 for row in outcome.results if row is None or not row[1]
         )
-    return row
+        errors = sum(
+            symbols if row is None else row[0] for row in outcome.results
+        )
+        sent = len(outcome.results)
+        row = {
+            "distance_m": distance,
+            "receiver": meta["receiver"],
+            "waveform": label,
+            "packet_error_rate": packets_failed / sent,
+            "symbol_error_rate": errors / (sent * symbols),
+            "snr_db": float(mean_budget.snr_db(distance)),
+            "rssi_dbm": rssi.estimate_from_power_dbm(
+                float(mean_budget.received_power_dbm(distance))
+            ),
+        }
+        if reduction.adaptive:
+            row.update(
+                trials_used=outcome.trials_used,
+                ci_low=outcome.ci_low,
+                ci_high=outcome.ci_high,
+            )
+        reduction.result.add_row(**row)
 
 
 def _notes(config: Mapping[str, Any]) -> List[str]:
@@ -213,8 +207,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="point",
-    reduce_point=_reduce_point,
+    rows=_rows,
     notes=_notes,
     scenario=ScenarioSupport(
         axes=("distances_m", "trials"),
@@ -238,11 +231,12 @@ def run(
 ) -> ExperimentResult:
     """Error-rate sweep over distance for both receivers and waveforms.
 
-    ``checkpoint_dir``/``resume`` persist (and skip) each completed
+    ``checkpoint_dir``/``resume`` persist (and skip) each finished
     (distance, receiver, waveform) cell; ``on_error`` selects the
-    engine's trial-failure policy.  ``adaptive`` stops each cell once its packet-error-rate Wilson CI
-    reaches ``rel_precision`` relative half-width (cap ``max_trials``),
-    adding ``trials_used`` and the CI bounds to each row.
+    engine's trial-failure policy.  ``adaptive`` stops each cell once
+    its packet-error-rate Wilson CI reaches ``rel_precision`` relative
+    half-width (cap ``max_trials``), adding ``trials_used`` and the CI
+    bounds to each row.
     """
     return run_sweep(
         SPEC,

@@ -3,23 +3,25 @@
 All of the paper's Monte Carlo sweeps (Tables II/IV/V, Figs. 12-14)
 share one shape: an axis of points, one or more independent trial
 streams per point, a fixed or adaptive per-stream budget, and a
-reduction from stream results to table rows.  Before this module, the
-cross-cutting machinery — the parallel engine, checkpoint stores,
-adaptive precision targeting, and telemetry events —
-was hand-threaded through each driver.  Now a driver declares a
+reduction from stream outcomes to table rows.  A driver declares a
 :class:`SweepSpec` (axis -> :class:`PointSpec`/:class:`StreamSpec`
-plan, context factory, fingerprint, row reduction) and
-:func:`run_sweep` owns ALL of the wiring in exactly one place:
+plan, context factory, fingerprint, one ``rows`` reducer) and
+:func:`run_sweep` owns ALL of the wiring in exactly one place — one
+loop over the plan's streams, in plan order:
 
 * seed-stream discipline: ``spawn_rngs`` slots are allocated by the
   plan so serial == parallel == any chunking == the adaptive prefix at
   the same seed, and the context is built *after* the streams are spawned;
-* checkpointing: per-point or per-stream units with resume
-  fingerprinting (seed, axis, budgets, adaptive config, scenario);
-* adaptive sampling: streams declare ``rate``/``mean`` metrics and the
-  runner drives the two-pass :class:`AdaptiveSweep` protocol;
-* telemetry: ``declare_trials`` ETA accounting, ``point_started`` /
-  ``point_finished`` / ``point_converged`` events.
+* budgets: a fixed stream is granted its whole budget in one engine
+  call; an adaptive stream is granted chunks until its ``rate``/``mean``
+  estimator converges or the budget is spent, and the savings are then
+  granted round-robin to the streams that did not converge;
+* checkpointing: one payload per stream — its raw trial rows and
+  settled stats — with resume fingerprinting (seed, axis, budgets,
+  adaptive config, scenario); resumed streams feed the reducer exactly
+  as fresh ones do;
+* telemetry: ``declare_trials`` ETA accounting, per-stream
+  ``point_started`` / ``point_finished`` / ``point_converged`` events.
 
 Scenario files (see ``docs/SCENARIOS.md``) parameterize any registered
 spec from JSON — axis grids, trial counts, channel profile
@@ -33,17 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -56,14 +48,18 @@ from repro.defense.detector import CumulantDetector
 from repro.errors import ConfigurationError
 from repro.experiments.adaptive import (
     DEFAULT_REL_PRECISION,
+    MIN_TRIALS,
     AdaptiveConfig,
-    AdaptivePointOutcome,
-    AdaptivePointState,
-    AdaptiveSweep,
+    make_estimator,
 )
 from repro.experiments.checkpoint import open_checkpoint_store
 from repro.experiments.common import ExperimentResult
-from repro.experiments.engine import EngineSession, MonteCarloEngine
+from repro.experiments.engine import (
+    EngineSession,
+    IncrementalRun,
+    MonteCarloEngine,
+)
+from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
@@ -135,7 +131,6 @@ class PointSpec:
 
     key: str
     streams: Tuple[StreamSpec, ...]
-    started_trials: int = 0
     meta: Mapping[str, Any] = field(default_factory=dict)
 
 
@@ -148,35 +143,47 @@ class SweepPlan:
 
 
 @dataclass
-class PointReduction:
-    """Everything a point-unit reducer needs to build one row."""
+class StreamOutcome:
+    """One finished stream: what the reducer and the checkpoint see.
 
-    config: Mapping[str, Any]
-    point: PointSpec
-    adaptive: bool
-    #: the engine context (prepared links, receivers, environment).
-    context: Mapping[str, Any] = field(default_factory=dict)
-    #: fixed mode — raw engine results per stream key.
-    results: Dict[str, List[Any]] = field(default_factory=dict)
-    #: adaptive mode — settled outcomes per stream key.
-    outcomes: Dict[str, AdaptivePointOutcome] = field(default_factory=dict)
+    ``results`` holds the raw trial rows in trial order (``None`` for a
+    dropped or skipped trial); the other fields are the stream's
+    estimator when it finished (NaN while it has no observation).
+    Trial rows hold only numbers, flags, tuples of them, or ``None``, so
+    every field survives the checkpoint's JSON round trip (tuples come
+    back as lists) and a resumed stream, ``StreamOutcome(**payload)``,
+    reduces to the same rows as a fresh one.  Fixed streams report
+    ``trials_used == budget`` and never converge or cap.
+    """
+
+    results: List[Any]
+    trials_used: int
+    converged: bool
+    capped: bool
+    estimate: float
+    ci_low: float
+    ci_high: float
+
+    @property
+    def values(self) -> List[Any]:
+        """The trial rows that carry an observation (not ``None``)."""
+        return [row for row in self.results if row is not None]
 
 
 @dataclass
 class SweepReduction:
-    """Everything a stream-unit reducer needs to build all rows.
+    """Everything a spec's ``rows`` hook needs to build the result.
 
-    ``payloads`` maps every stream key to a JSON-friendly dict with at
-    least ``"values"`` (the extracted non-``None`` observations, in
-    trial order); adaptive payloads additionally carry the settled
-    stats (``trials_used``/``converged``/``capped``/``estimate``/
-    ``ci_low``/``ci_high``, NaN encoded as ``None``).
+    ``outcomes`` maps every stream key of the plan to its
+    :class:`StreamOutcome`, fresh or resumed, in both modes.
     """
 
     config: Mapping[str, Any]
     plan: SweepPlan
     adaptive: bool
-    payloads: Dict[str, Dict[str, Any]]
+    #: the engine context (prepared links, receivers, environment).
+    context: Mapping[str, Any]
+    outcomes: Dict[str, StreamOutcome]
     result: ExperimentResult
 
 
@@ -208,15 +215,13 @@ class SweepSpec:
             so anything the context draws (e.g. the emulation's filler
             subcarriers) never perturbs the per-trial noise streams.
         columns: ``(config, adaptive)`` -> result columns.
-        checkpoint_unit: ``"point"`` (one payload per point: the row)
-            or ``"stream"`` (one payload per stream: the value list).
-        reduce_point: point-unit reducer -> row dict.
-        build_rows: stream-unit reducer (fills ``reduction.result``).
+        rows: the reducer: fills ``reduction.result`` from one
+            :class:`StreamOutcome` per stream key.
         detector: optional defense-screening hook; its return value is
             installed as ``context["detector"]`` after the context is
             built.
         notes: config -> result notes (threshold calibrations etc. that
-            depend on run output go through ``build_rows`` instead).
+            depend on run output go through ``rows`` instead).
         scenario: which scenario override groups apply.
     """
 
@@ -227,9 +232,7 @@ class SweepSpec:
     plan: Callable[[Mapping[str, Any]], SweepPlan]
     context: Callable[[Mapping[str, Any], np.random.Generator], Dict[str, Any]]
     columns: Callable[[Mapping[str, Any], bool], List[str]]
-    checkpoint_unit: str = "point"
-    reduce_point: Optional[Callable[[PointReduction], Dict[str, Any]]] = None
-    build_rows: Optional[Callable[[SweepReduction], None]] = None
+    rows: Callable[[SweepReduction], None]
     detector: Optional[Callable[[Mapping[str, Any]], Optional[Any]]] = None
     notes: Optional[Callable[[Mapping[str, Any]], List[str]]] = None
     scenario: ScenarioSupport = ScenarioSupport()
@@ -543,35 +546,32 @@ def standalone_session(context: Dict[str, Any]) -> EngineSession:
     return MonteCarloEngine().session(context)
 
 
-def _settled_payload(
-    state: AdaptivePointState, extract: Callable[[Any], Any]
-) -> Dict[str, Any]:
-    """One settled adaptive stream as a JSON-friendly checkpoint payload."""
-    outcome = state.outcome()
-    summary = {
-        name: (
-            None
-            if isinstance(value, float) and math.isnan(value)
-            else value
+class _OpenStream:
+    """A pending stream: its incremental engine run and its estimator."""
+
+    def __init__(self, spec: StreamSpec, run: IncrementalRun):
+        self.spec = spec
+        self.run = run
+        self.estimator = make_estimator(spec.kind)
+        self.converged = False
+        self.capped = False
+
+    def grant(self, count: int) -> None:
+        """Run ``count`` more trials and fold them into the estimator."""
+        rows = self.run.extend(count)
+        self.estimator.add([self.spec.extract(row) for row in rows])
+
+    def outcome(self) -> StreamOutcome:
+        low, high = self.estimator.interval()
+        return StreamOutcome(
+            results=self.run.results,
+            trials_used=self.run.trials,
+            converged=self.converged,
+            capped=self.capped,
+            estimate=float(self.estimator.estimate),
+            ci_low=float(low),
+            ci_high=float(high),
         )
-        for name, value in outcome.summary().items()
-    }
-    values = [extract(result) for result in outcome.results]
-    return {
-        "values": [value for value in values if value is not None],
-        **summary,
-    }
-
-
-def _make_estimator(sweep: AdaptiveSweep, stream_spec: StreamSpec) -> Any:
-    if stream_spec.kind == "rate":
-        return sweep.rate_estimator()
-    if stream_spec.kind == "mean":
-        return sweep.mean_estimator()
-    raise ConfigurationError(
-        f"unknown stream kind {stream_spec.kind!r} for "
-        f"{stream_spec.key!r}; expected 'rate' or 'mean'"
-    )
 
 
 def run_sweep(
@@ -597,9 +597,10 @@ def run_sweep(
         workers: Monte Carlo engine worker processes (default: serial).
         chunk_size: trials per engine dispatch (default: derived).
         on_error: trial-failure policy (``raise``/``retry``/``skip``).
-        checkpoint_dir: persist each completed unit atomically.
-        resume: serve completed units from ``checkpoint_dir`` (requires
-            a matching fingerprint: same seed, axis, budgets, scenario).
+        checkpoint_dir: persist each finished stream atomically.
+        resume: serve finished streams from ``checkpoint_dir``
+            (requires a matching fingerprint: same seed, axis, budgets,
+            adaptive knobs, scenario).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
@@ -640,208 +641,128 @@ def run_sweep(
     engine = MonteCarloEngine(
         workers=workers, chunk_size=chunk_size, on_error=on_error
     )
-    stream = get_event_stream()
-    if spec.checkpoint_unit == "point":
-        _run_point_unit(
-            spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config,
-        )
-    elif spec.checkpoint_unit == "stream":
-        _run_stream_unit(
-            spec, config, plan, rngs, context, engine, store, stream,
-            result, adaptive_config,
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown checkpoint unit {spec.checkpoint_unit!r}; expected "
-            f"'point' or 'stream'"
-        )
+    events = get_event_stream()
+    outcomes: Dict[str, StreamOutcome] = {}
+    streams = [s for point in plan.points for s in point.streams]
+    for s in streams:
+        payload = store.get(s.key) if store is not None else None
+        if payload is not None:
+            outcomes[s.key] = StreamOutcome(**payload)
+    pending = [s for s in streams if s.key not in outcomes]
+    events.declare_trials(sum(s.budget for s in pending))
+
+    def finish(stream: _OpenStream) -> None:
+        outcome = stream.outcome()
+        if store is not None:
+            store.save(stream.spec.key, vars(outcome))
+        events.point_finished(spec.experiment_id, stream.spec.key,
+                              trials=outcome.trials_used)
+        outcomes[stream.spec.key] = outcome
+
+    opened: List[_OpenStream] = []
+    with engine.session(context) as session:
+        # The one stream loop, in plan order.  Fixed mode grants each
+        # budget whole — one engine call, exactly as a fixed-budget
+        # ``session.run`` — and finishes the stream at once; adaptive
+        # mode grants chunks until the stream converges or reaches its
+        # budget, and finishes every stream after the savings settle.
+        for s in pending:
+            events.point_started(spec.experiment_id, s.key, trials=s.budget)
+            stream = _OpenStream(
+                s, session.run_until(s.trial, rngs[s.rng_slot], s.static_args)
+            )
+            if adaptive_config is None:
+                stream.grant(s.budget)
+                finish(stream)
+                continue
+            chunk = adaptive_config.resolve_chunk(s.budget)
+            while stream.run.trials < s.budget and not stream.converged:
+                stream.grant(min(chunk, s.budget - stream.run.trials))
+                stream.converged = (
+                    stream.run.trials >= min(MIN_TRIALS, s.budget)
+                    and stream.estimator.converged(
+                        adaptive_config.rel_precision
+                    )
+                )
+            opened.append(stream)
+        if adaptive_config is not None:
+            _settle(opened, adaptive_config, spec.experiment_id)
+            for stream in opened:
+                finish(stream)
+    spec.rows(SweepReduction(
+        config=config, plan=plan, adaptive=adaptive, context=context,
+        outcomes=outcomes, result=result,
+    ))
     if spec.notes is not None:
         result.notes.extend(spec.notes(config))
     return result
 
 
-def _sweep_base(plan: SweepPlan) -> int:
-    """The adaptive sweep's base budget (per-stream budgets override it)."""
-    return max(
-        (s.budget for point in plan.points for s in point.streams), default=1
-    )
-
-
-def _run_point_unit(
-    spec: SweepSpec,
-    config: Mapping[str, Any],
-    plan: SweepPlan,
-    rngs: Sequence[np.random.Generator],
-    context: Dict[str, Any],
-    engine: MonteCarloEngine,
-    store: Any,
-    stream: Any,
-    result: ExperimentResult,
-    adaptive_config: Optional[AdaptiveConfig],
+def _settle(
+    streams: List[_OpenStream], config: AdaptiveConfig, experiment: str
 ) -> None:
-    """Point-unit sweeps: one checkpoint payload per point — its row."""
-    if spec.reduce_point is None:
-        raise ConfigurationError(
-            f"{spec.experiment_id!r} declares checkpoint_unit='point' but "
-            f"no reduce_point"
-        )
-    pending = [
-        point for point in plan.points
-        if store is None or not store.completed(point.key)
-    ]
-    stream.declare_trials(
-        sum(s.budget for point in pending for s in point.streams)
-    )
-    with engine.session(context) as session:
-        if adaptive_config is not None:
-            sweep = AdaptiveSweep(
-                session, _sweep_base(plan), config=adaptive_config,
-                experiment=spec.experiment_id,
-            )
-            states: Dict[str, Dict[str, AdaptivePointState]] = {}
-            for point in pending:
-                stream.point_started(
-                    spec.experiment_id, point.key,
-                    trials=point.started_trials,
-                )
-                states[point.key] = {
-                    s.key: sweep.point(
-                        s.trial, rng=rngs[s.rng_slot],
-                        static_args=s.static_args,
-                        estimator=_make_estimator(sweep, s),
-                        extract=s.extract, key=s.key, base=s.budget,
-                    )
-                    for s in point.streams
-                }
-            sweep.settle()
-            for point in plan.points:
-                cached = store.get(point.key) if store is not None else None
-                if cached is not None:
-                    result.add_row(**cached)
-                    continue
-                row = spec.reduce_point(PointReduction(
-                    config=config, point=point, adaptive=True,
-                    context=context,
-                    outcomes={
-                        key: state.outcome()
-                        for key, state in states[point.key].items()
-                    },
-                ))
-                if store is not None:
-                    store.save(point.key, row)
-                result.add_row(**row)
-                stream.point_finished(spec.experiment_id, point.key,
-                                      rows_so_far=len(result.rows))
-        else:
-            for point in plan.points:
-                cached = store.get(point.key) if store is not None else None
-                if cached is not None:
-                    result.add_row(**cached)
-                    continue
-                stream.point_started(
-                    spec.experiment_id, point.key,
-                    trials=point.started_trials,
-                )
-                results = {
-                    s.key: session.run(
-                        s.trial, s.budget,
-                        rng=rngs[s.rng_slot], static_args=s.static_args,
-                    )
-                    for s in point.streams
-                }
-                row = spec.reduce_point(PointReduction(
-                    config=config, point=point, adaptive=False,
-                    context=context, results=results,
-                ))
-                if store is not None:
-                    store.save(point.key, row)
-                result.add_row(**row)
-                stream.point_finished(spec.experiment_id, point.key,
-                                      rows_so_far=len(result.rows))
+    """Adaptive pass 2: spend the pass-1 savings on unconverged streams.
 
-
-def _run_stream_unit(
-    spec: SweepSpec,
-    config: Mapping[str, Any],
-    plan: SweepPlan,
-    rngs: Sequence[np.random.Generator],
-    context: Dict[str, Any],
-    engine: MonteCarloEngine,
-    store: Any,
-    stream: Any,
-    result: ExperimentResult,
-    adaptive_config: Optional[AdaptiveConfig],
-) -> None:
-    """Stream-unit sweeps: one payload per stream — its value list.
-
-    Rows are cheap global reductions (means, calibrated thresholds)
-    recomputed from the (possibly resumed) payloads every run by the
-    spec's ``build_rows``.
+    Grants go chunk by chunk in plan order (deterministic round-robin);
+    a stream leaves the rotation when it converges, reaches its hard
+    cap, or the savings run dry, so the sweep never executes more than
+    its fixed-budget total.  Afterwards every stream emits one
+    ``point_converged`` event, and the sweep counts
+    ``engine.trials_saved`` / ``engine.points_capped``.
     """
-    if spec.build_rows is None:
-        raise ConfigurationError(
-            f"{spec.experiment_id!r} declares checkpoint_unit='stream' but "
-            f"no build_rows"
-        )
-    streams = [s for point in plan.points for s in point.streams]
-    pending = [
-        s for s in streams
-        if store is None or not store.completed(s.key)
-    ]
-    stream.declare_trials(sum(s.budget for s in pending))
-    payloads: Dict[str, Dict[str, Any]] = {}
-    with engine.session(context) as session:
-        if adaptive_config is not None:
-            sweep = AdaptiveSweep(
-                session, _sweep_base(plan), config=adaptive_config,
-                experiment=spec.experiment_id,
+    saved = sum(s.spec.budget - s.run.trials for s in streams)
+    pending = [s for s in streams if not s.converged]
+    while pending and saved > 0:
+        progressed = False
+        for stream in list(pending):
+            base = stream.spec.budget
+            cap = config.resolve_cap(base)
+            if stream.run.trials >= cap:
+                stream.capped = True
+                pending.remove(stream)
+                continue
+            step = min(
+                config.resolve_chunk(base), cap - stream.run.trials, saved
             )
-            states: Dict[str, AdaptivePointState] = {}
-            for s in pending:
-                stream.point_started(spec.experiment_id, s.key,
-                                     trials=s.budget)
-                states[s.key] = sweep.point(
-                    s.trial, rng=rngs[s.rng_slot],
-                    static_args=s.static_args,
-                    estimator=_make_estimator(sweep, s),
-                    extract=s.extract, key=s.key, base=s.budget,
-                )
-            sweep.settle()
-            for s in streams:
-                payload = store.get(s.key) if store is not None else None
-                if payload is None:
-                    payload = _settled_payload(states[s.key], s.extract)
-                    if store is not None:
-                        store.save(s.key, payload)
-                    stream.point_finished(spec.experiment_id, s.key,
-                                          rows_so_far=len(result.rows))
-                payloads[s.key] = payload
-        else:
-            for s in streams:
-                cached = store.get(s.key) if store is not None else None
-                if cached is not None:
-                    payloads[s.key] = {
-                        "values": [float(value) for value in cached]
-                    }
-                    continue
-                stream.point_started(spec.experiment_id, s.key,
-                                     trials=s.budget)
-                raw = session.run(
-                    s.trial, s.budget,
-                    rng=rngs[s.rng_slot], static_args=s.static_args,
-                )
-                values = [
-                    value
-                    for value in (s.extract(item) for item in raw)
-                    if value is not None
-                ]
-                if store is not None:
-                    store.save(s.key, values)
-                stream.point_finished(spec.experiment_id, s.key,
-                                      rows_so_far=len(values))
-                payloads[s.key] = {"values": values}
-    spec.build_rows(SweepReduction(
-        config=config, plan=plan, adaptive=adaptive_config is not None,
-        payloads=payloads, result=result,
-    ))
+            if step <= 0:
+                continue
+            stream.grant(step)
+            saved -= step
+            progressed = True
+            if stream.estimator.converged(config.rel_precision):
+                stream.converged = True
+                pending.remove(stream)
+            if saved <= 0:
+                break
+        if not progressed:
+            break
+    for stream in pending:
+        if stream.run.trials >= config.resolve_cap(stream.spec.budget):
+            stream.capped = True
+    events = get_event_stream()
+    for stream in streams:
+        low, high = stream.estimator.interval()
+        events.point_converged(
+            experiment,
+            stream.spec.key,
+            trials_used=stream.run.trials,
+            trials_saved=stream.spec.budget - stream.run.trials,
+            converged=stream.converged,
+            estimate=_json_float(stream.estimator.estimate),
+            ci_low=_json_float(low),
+            ci_high=_json_float(high),
+        )
+    telemetry = get_telemetry()
+    if saved > 0:
+        telemetry.count("engine.trials_saved", saved)
+    capped = sum(1 for stream in streams if not stream.converged)
+    if capped:
+        telemetry.count("engine.points_capped", capped)
+
+
+def _json_float(value: float) -> Optional[float]:
+    """NaN/inf become ``None`` so event records stay strict JSON."""
+    value = float(value)
+    if math.isnan(value) or math.isinf(value):
+        return None
+    return value

@@ -34,11 +34,11 @@ from repro.experiments.common import (
 )
 from repro.experiments.defense_common import screen_packets
 from repro.experiments.sweep import (
-    PointReduction,
     PointSpec,
     ScenarioSupport,
     StreamSpec,
     SweepPlan,
+    SweepReduction,
     SweepSpec,
     resolve_channel_factory,
     resolve_detector,
@@ -138,8 +138,7 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
                 static_args=(snr,), kind="rate", extract=_authentic_flag,
             ))
         points.append(PointSpec(
-            key=key, streams=tuple(streams), started_trials=trials,
-            meta={"snr_db": snr},
+            key=key, streams=tuple(streams), meta={"snr_db": snr},
         ))
     return SweepPlan(points=tuple(points), rng_slots=2 * len(snrs))
 
@@ -172,47 +171,38 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     return columns
 
 
-def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
+def _rows(reduction: SweepReduction) -> None:
     config = reduction.config
-    snr = reduction.point.meta["snr_db"]
-    trials = config["trials"]
-    key = reduction.point.key
-    if reduction.adaptive:
-        outcome = reduction.outcomes[key]
-        outcomes = [o for o in outcome.results if o is not None]
-        success_rate = outcome.estimate
-    else:
-        outcomes = [o for o in reduction.results[key] if o is not None]
-        success_rate = sum(d for d, _, _ in outcomes) / trials
-    row: Dict[str, Any] = {
-        "snr_db": snr,
-        "success_rate": success_rate,
-        "paper_success_rate": PAPER_SUCCESS_RATES.get(int(snr), float("nan")),
-    }
-    if config["screen_defense"]:
-        screened = sum(was_screened for _, was_screened, _ in outcomes)
-        detections = sum(detected for _, _, detected in outcomes)
-        row["detected_rate"] = (
-            detections / screened if screened else float("nan")
-        )
-    if config["include_authentic"]:
-        authentic_key = f"{key}.authentic"
+    for point in reduction.plan.points:
+        snr = point.meta["snr_db"]
+        outcome = reduction.outcomes[point.key]
+        # A rate estimator counts every trial, so at trials_used ==
+        # trials its estimate is the fixed sum(delivered) / trials.
+        row: Dict[str, Any] = {
+            "snr_db": snr,
+            "success_rate": outcome.estimate,
+            "paper_success_rate": PAPER_SUCCESS_RATES.get(
+                int(snr), float("nan")
+            ),
+        }
+        if config["screen_defense"]:
+            screened_rows = outcome.values
+            screened = sum(was_screened for _, was_screened, _ in screened_rows)
+            detections = sum(detected for _, _, detected in screened_rows)
+            row["detected_rate"] = (
+                detections / screened if screened else float("nan")
+            )
+        if config["include_authentic"]:
+            row["authentic_success_rate"] = (
+                reduction.outcomes[f"{point.key}.authentic"].estimate
+            )
         if reduction.adaptive:
-            row["authentic_success_rate"] = (
-                reduction.outcomes[authentic_key].estimate
+            row.update(
+                trials_used=outcome.trials_used,
+                ci_low=outcome.ci_low,
+                ci_high=outcome.ci_high,
             )
-        else:
-            delivered = reduction.results[authentic_key]
-            row["authentic_success_rate"] = (
-                sum(d for d in delivered if d is not None) / trials
-            )
-    if reduction.adaptive:
-        row.update(
-            trials_used=outcome.trials_used,
-            ci_low=outcome.ci_low,
-            ci_high=outcome.ci_high,
-        )
-    return row
+        reduction.result.add_row(**row)
 
 
 def _notes(config: Mapping[str, Any]) -> List[str]:
@@ -235,8 +225,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="point",
-    reduce_point=_reduce_point,
+    rows=_rows,
     detector=_detector,
     notes=_notes,
     scenario=ScenarioSupport(

@@ -19,11 +19,7 @@ from repro.experiments.common import (
     prepare_authentic,
     prepare_emulated,
 )
-from repro.experiments.defense_common import (
-    _distance_or_none,
-    mean_or_nan,
-    statistic_trial,
-)
+from repro.experiments.defense_common import distance_trial, mean_or_nan
 from repro.experiments.sweep import (
     PointSpec,
     ScenarioSupport,
@@ -62,9 +58,8 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
         streams = tuple(
             StreamSpec(
                 key=f"snr{snr:g}.{label}", rng_slot=2 * i + offset,
-                budget=per_point, trial=statistic_trial,
+                budget=per_point, trial=distance_trial,
                 static_args=(label, chip_source, False, snr),
-                kind="mean", extract=_distance_or_none,
             )
             for offset, label in enumerate(("zigbee", "emulated"))
         )
@@ -95,18 +90,15 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     return columns
 
 
-def _build_rows(reduction: SweepReduction) -> None:
+def _rows(reduction: SweepReduction) -> None:
     for point in reduction.plan.points:
         snr = point.meta["snr_db"]
         means: Dict[str, float] = {}
         trials_used = 0
         for label in ("zigbee", "emulated"):
-            payload = reduction.payloads[f"snr{snr:g}.{label}"]
-            means[label] = mean_or_nan(
-                [float(value) for value in payload["values"]]
-            )
-            if reduction.adaptive:
-                trials_used += int(payload["trials_used"])
+            outcome = reduction.outcomes[f"{point.key}.{label}"]
+            means[label] = mean_or_nan(outcome.values)
+            trials_used += outcome.trials_used
         paper = PAPER_TABLE4.get(int(snr), (float("nan"), float("nan")))
         row = {
             "snr_db": snr,
@@ -144,8 +136,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="stream",
-    build_rows=_build_rows,
+    rows=_rows,
     detector=resolve_detector,
     notes=_notes,
     scenario=ScenarioSupport(

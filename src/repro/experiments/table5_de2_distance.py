@@ -30,11 +30,11 @@ from repro.experiments.common import (
 )
 from repro.experiments.defense_common import mean_or_nan, screen_packets
 from repro.experiments.sweep import (
-    PointReduction,
     PointSpec,
     ScenarioSupport,
     StreamSpec,
     SweepPlan,
+    SweepReduction,
     SweepSpec,
     resolve_detector,
     resolve_environment,
@@ -76,11 +76,6 @@ def _distance_trial(
     ]
 
 
-def _de2_value(value: Optional[float]) -> Optional[float]:
-    """Adaptive-mean observation: the trial already returns D_E^2/None."""
-    return value
-
-
 def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "waveforms_per_point": config["waveforms_per_point"],
@@ -102,13 +97,11 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
                 trial=_distance_trial,
                 static_args=(label, distance, config["chip_source"],
                              config["noise_corrected"]),
-                kind="mean", extract=_de2_value,
             )
             for j, label in enumerate(("zigbee", "emulated"))
         )
         points.append(PointSpec(
-            key=key, streams=streams, started_trials=2 * per_point,
-            meta={"distance_m": distance},
+            key=key, streams=streams, meta={"distance_m": distance},
         ))
     return SweepPlan(points=tuple(points), rng_slots=2 * len(distances))
 
@@ -142,35 +135,28 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
     return columns
 
 
-def _reduce_point(reduction: PointReduction) -> Dict[str, Any]:
-    distance = reduction.point.meta["distance_m"]
-    key = reduction.point.key
-    means: Dict[str, float] = {}
-    trials_used = 0
-    for label in ("zigbee", "emulated"):
-        if reduction.adaptive:
-            outcome = reduction.outcomes[f"{key}.{label}"]
-            means[label] = mean_or_nan(
-                [v for v in outcome.results if v is not None]
-            )
+def _rows(reduction: SweepReduction) -> None:
+    mean_budget = _mean_budget(reduction.config)
+    for point in reduction.plan.points:
+        distance = point.meta["distance_m"]
+        means: Dict[str, float] = {}
+        trials_used = 0
+        for label in ("zigbee", "emulated"):
+            outcome = reduction.outcomes[f"{point.key}.{label}"]
+            means[label] = mean_or_nan(outcome.values)
             trials_used += outcome.trials_used
-        else:
-            means[label] = mean_or_nan([
-                v for v in reduction.results[f"{key}.{label}"]
-                if v is not None
-            ])
-    paper = PAPER_TABLE5.get(int(distance), (float("nan"), float("nan")))
-    row = {
-        "distance_m": distance,
-        "snr_db": float(_mean_budget(reduction.config).snr_db(distance)),
-        "zigbee_de2": means["zigbee"],
-        "emulated_de2": means["emulated"],
-        "paper_zigbee_de2": paper[0],
-        "paper_emulated_de2": paper[1],
-    }
-    if reduction.adaptive:
-        row["trials_used"] = trials_used
-    return row
+        paper = PAPER_TABLE5.get(int(distance), (float("nan"), float("nan")))
+        row = {
+            "distance_m": distance,
+            "snr_db": float(mean_budget.snr_db(distance)),
+            "zigbee_de2": means["zigbee"],
+            "emulated_de2": means["emulated"],
+            "paper_zigbee_de2": paper[0],
+            "paper_emulated_de2": paper[1],
+        }
+        if reduction.adaptive:
+            row["trials_used"] = trials_used
+        reduction.result.add_row(**row)
 
 
 def _notes(config: Mapping[str, Any]) -> List[str]:
@@ -197,8 +183,7 @@ SPEC = SweepSpec(
     plan=_plan,
     context=_context,
     columns=_columns,
-    checkpoint_unit="point",
-    reduce_point=_reduce_point,
+    rows=_rows,
     detector=_detector,
     notes=_notes,
     scenario=ScenarioSupport(
@@ -233,8 +218,8 @@ def run(
     over the linear matched-filter chips; without it the statistic of
     *both* classes inflates with distance and the gap closes.
 
-    ``checkpoint_dir``/``resume`` persist (and skip) completed distance
-    rows; ``on_error`` selects the engine's trial-failure policy.
+    ``checkpoint_dir``/``resume`` persist (and skip) finished
+    (distance, class) streams; ``on_error`` selects the engine's trial-failure policy.
     ``adaptive`` stops each (distance, class) point once its mean-D_E^2
     Welford CI reaches ``rel_precision`` relative half-width (cap
     ``max_trials``, default 4x), adding ``trials_used`` to each row.

@@ -69,7 +69,7 @@ EVENT_SCHEMAS = {
         "open": False,
     },
     "point_finished": {
-        "required": ("experiment", "point", "rows_so_far"),
+        "required": ("experiment", "point"),
         "optional": ("trials",),
         "open": False,
     },
@@ -354,20 +354,18 @@ class EventStream:
                   **self._progress_fields(), **fields)
 
     def point_started(self, experiment: str, point: str, **fields: Any) -> None:
-        """A sweep point's trials are about to run."""
+        """A sweep stream's trials are about to run (``point`` = its key)."""
         self.emit("point_started", experiment=experiment, point=point, **fields)
 
-    def point_finished(
-        self, experiment: str, point: str, rows_so_far: int, **fields: Any
-    ) -> None:
-        """A sweep point completed; ``rows_so_far`` rows exist now."""
+    def point_finished(self, experiment: str, point: str, **fields: Any) -> None:
+        """A sweep stream finished (``point`` = its key)."""
         self.emit("point_finished", experiment=experiment, point=point,
-                  rows_so_far=rows_so_far, **fields)
+                  **fields)
 
     def point_converged(
         self, experiment: str, point: str, trials_used: int, **fields: Any
     ) -> None:
-        """An adaptive sweep point settled (converged, capped, or dry)."""
+        """An adaptive sweep stream settled (converged, capped, or dry)."""
         self.emit("point_converged", experiment=experiment, point=point,
                   trials_used=trials_used, **fields)
 

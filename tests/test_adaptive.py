@@ -1,19 +1,28 @@
 """Adaptive precision-targeted Monte Carlo: estimators, sweep, parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import table2_attack_awgn
 from repro.experiments.adaptive import (
+    MIN_TRIALS,
     AdaptiveConfig,
-    AdaptiveSweep,
     MeanEstimator,
     RateEstimator,
     normal_quantile,
     wilson_interval,
 )
 from repro.experiments.engine import MonteCarloEngine
+from repro.experiments.sweep import (
+    PointSpec,
+    StreamSpec,
+    SweepPlan,
+    SweepSpec,
+    run_sweep,
+)
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import MemoryEventSink, get_event_stream
 
@@ -26,6 +35,58 @@ def _coin_trial(context, args, rngs):
 def _gauss_trial(context, args, rngs):
     mean, sigma = args
     return [float(mean + sigma * rng.standard_normal()) for rng in rngs]
+
+
+TOY_COLUMNS = ["key", "trials_used", "converged", "capped", "estimate",
+               "ci_low", "ci_high"]
+
+
+def _toy_rows(reduction):
+    """One row per stream: its settled outcome."""
+    for point in reduction.plan.points:
+        for stream in point.streams:
+            outcome = reduction.outcomes[stream.key]
+            reduction.result.add_row(
+                key=stream.key,
+                **{name: getattr(outcome, name) for name in TOY_COLUMNS[1:]},
+            )
+
+
+def coin(key, p, budget):
+    """A Bernoulli(p) rate stream."""
+    return StreamSpec(key=key, rng_slot=0, budget=budget, trial=_coin_trial,
+                      static_args=(p,), kind="rate")
+
+
+def gauss(key, mean, sigma, budget):
+    """A Normal(mean, sigma) mean stream."""
+    return StreamSpec(key=key, rng_slot=0, budget=budget,
+                      trial=_gauss_trial, static_args=(mean, sigma))
+
+
+def toy_spec(*streams):
+    """A one-point sweep over ``streams``, one RNG slot each."""
+    slotted = tuple(
+        replace(stream, rng_slot=slot) for slot, stream in enumerate(streams)
+    )
+    plan = SweepPlan(points=(PointSpec(key="toy", streams=slotted),),
+                     rng_slots=len(slotted))
+    return SweepSpec(
+        experiment_id="unit",
+        title="toy sweep",
+        defaults={},
+        fingerprint=lambda config: {},
+        plan=lambda config: plan,
+        context=lambda config, base: {},
+        columns=lambda config, adaptive: list(TOY_COLUMNS),
+        rows=_toy_rows,
+    )
+
+
+def run_toy(*streams, **kwargs):
+    """Adaptive toy sweep at seed 0; rows keyed by stream key."""
+    result = run_sweep(toy_spec(*streams), rng=0, adaptive=True, **kwargs)
+    return {row["key"]: row for row in result.rows}
 
 
 class TestIntervalMath:
@@ -104,10 +165,6 @@ class TestEstimators:
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(rel_precision=0.0)
         with pytest.raises(ConfigurationError):
-            AdaptiveConfig(confidence=0.4)
-        with pytest.raises(ConfigurationError):
-            AdaptiveConfig(min_trials=0)
-        with pytest.raises(ConfigurationError):
             AdaptiveConfig(max_trials=0)
 
     def test_config_chunk_and_cap_resolution(self):
@@ -121,94 +178,40 @@ class TestEstimators:
 
 
 class TestAdaptiveSweep:
-    def _session(self):
-        return MonteCarloEngine().session({})
+    """The adaptive policy of ``run_sweep``'s stream loop."""
 
     def test_deterministic_point_converges_at_min_trials(self):
-        with self._session() as session:
-            sweep = AdaptiveSweep(session, 100)
-            state = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="sure",
-            )
-            sweep.settle()
-        outcome = state.outcome()
-        assert outcome.converged
-        assert outcome.trials_used < 100
-        assert outcome.estimate == 1.0
-        assert sweep.trials_saved == 100 - outcome.trials_used
+        rows = run_toy(coin("sure", 1.0, 100))
+        sure = rows["sure"]
+        assert sure["converged"]
+        # The first grant past MIN_TRIALS already meets the target.
+        assert MIN_TRIALS <= sure["trials_used"] < 100
+        assert sure["estimate"] == 1.0
 
     def test_boundary_point_receives_reallocated_budget(self):
-        with self._session() as session:
-            sweep = AdaptiveSweep(
-                session, 60, config=AdaptiveConfig(rel_precision=0.05)
-            )
-            easy = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="easy",
-            )
-            hard = sweep.point(
-                _coin_trial, rng=1, static_args=(0.5,),
-                estimator=sweep.rate_estimator(), key="hard",
-            )
-            sweep.settle()
-        assert easy.outcome().trials_used < 60
-        # The hard point spends beyond its own base out of the savings.
-        assert hard.outcome().trials_used > 60
-        assert sweep.trials_executed <= sweep.trials_base
+        rows = run_toy(coin("easy", 1.0, 60), coin("hard", 0.5, 60),
+                       rel_precision=0.05)
+        assert rows["easy"]["trials_used"] < 60
+        # The hard stream spends beyond its own base out of the savings.
+        assert rows["hard"]["trials_used"] > 60
+        assert rows["easy"]["trials_used"] + rows["hard"]["trials_used"] <= 120
 
     def test_cap_bounds_reallocation(self):
-        with self._session() as session:
-            config = AdaptiveConfig(rel_precision=0.05, max_trials=70)
-            sweep = AdaptiveSweep(session, 60, config=config)
-            easy = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="easy",
-            )
-            hard = sweep.point(
-                _coin_trial, rng=1, static_args=(0.5,),
-                estimator=sweep.rate_estimator(), key="hard",
-            )
-            sweep.settle()
-        assert hard.outcome().trials_used <= 70
-        assert hard.outcome().capped
-        assert not hard.outcome().converged
-        assert easy.outcome().converged
-        assert easy.outcome().trials_used < 60
+        rows = run_toy(coin("easy", 1.0, 60), coin("hard", 0.5, 60),
+                       rel_precision=0.05, max_trials=70)
+        assert rows["hard"]["trials_used"] <= 70
+        assert rows["hard"]["capped"]
+        assert not rows["hard"]["converged"]
+        assert rows["easy"]["converged"]
+        assert rows["easy"]["trials_used"] < 60
 
     def test_mean_point_converges(self):
-        with self._session() as session:
-            sweep = AdaptiveSweep(session, 400)
-            state = sweep.point(
-                _gauss_trial, rng=0, static_args=(10.0, 0.5),
-                estimator=sweep.mean_estimator(), key="gauss",
-            )
-            sweep.settle()
-        outcome = state.outcome()
-        assert outcome.converged
-        assert outcome.trials_used < 400
-        assert outcome.estimate == pytest.approx(10.0, abs=0.5)
-        half = (outcome.ci_high - outcome.ci_low) / 2.0
-        assert half <= 0.1 * abs(outcome.estimate) + 1e-12
-
-    def test_outcome_before_settle_raises(self):
-        with self._session() as session:
-            sweep = AdaptiveSweep(session, 20)
-            state = sweep.point(
-                _coin_trial, rng=0, static_args=(1.0,),
-                estimator=sweep.rate_estimator(), key="early",
-            )
-            with pytest.raises(ConfigurationError):
-                state.outcome()
-            sweep.settle()
-            assert state.outcome().trials_used > 0
-
-    def test_point_after_settle_raises(self):
-        with self._session() as session:
-            sweep = AdaptiveSweep(session, 20)
-            sweep.settle()
-            with pytest.raises(ConfigurationError):
-                sweep.point(_coin_trial, rng=0, static_args=(1.0,))
+        gaussian = run_toy(gauss("gauss", 10.0, 0.5, 400))["gauss"]
+        assert gaussian["converged"]
+        assert gaussian["trials_used"] < 400
+        assert gaussian["estimate"] == pytest.approx(10.0, abs=0.5)
+        half = (gaussian["ci_high"] - gaussian["ci_low"]) / 2.0
+        assert half <= 0.1 * abs(gaussian["estimate"]) + 1e-12
 
     def test_settle_emits_point_converged_events_and_counters(self):
         stream = get_event_stream()
@@ -218,13 +221,7 @@ class TestAdaptiveSweep:
         telemetry.reset()
         telemetry.enable()
         try:
-            with self._session() as session:
-                sweep = AdaptiveSweep(session, 50, experiment="unit")
-                sweep.point(
-                    _coin_trial, rng=0, static_args=(1.0,),
-                    estimator=sweep.rate_estimator(), key="p1",
-                )
-                sweep.settle()
+            run_toy(coin("p1", 1.0, 50))
             events = [
                 e for e in sink.records if e["event"] == "point_converged"
             ]

@@ -229,21 +229,8 @@ class TestTrialParity:
         args = ("original", "usrp", 3.0, loss_db)
         batched = _session_rows(_link_trial, context, 3, args, 3)
         single = _session_rows(_link_trial, context, 3, args, 1)
-        assert len(batched) == len(single)
-        for got, want in zip(batched, single):
-            if want is None:
-                assert got is None
-                continue
-            assert got is not None
-            decoded_got, delivered_got, hamming_got = got
-            decoded_want, delivered_want, hamming_want = want
-            assert delivered_got == delivered_want
-            assert np.array_equal(decoded_got, decoded_want)
-            if hamming_want is None:
-                assert hamming_got is None
-            else:
-                assert np.array_equal(hamming_got, hamming_want)
-
+        # Rows are plain (symbol_errors, delivered) pairs or None.
+        assert batched == single
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -1,4 +1,4 @@
-"""Checkpointing: atomic JSON, the point store, and driver resume."""
+"""Checkpointing: atomic JSON, the stream store, and driver resume."""
 
 import json
 import math
@@ -7,9 +7,20 @@ import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
-from repro.experiments import table2_attack_awgn
-from repro.experiments.checkpoint import CheckpointStore, open_checkpoint_store
-from repro.experiments.engine import FAULT_EVERY_ENV
+from repro.experiments import (
+    fig12_defense,
+    fig13_rssi,
+    fig14_error_rates,
+    table2_attack_awgn,
+    table4_de2_snr,
+    table5_de2_distance,
+)
+from repro.experiments.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    CheckpointStore,
+    open_checkpoint_store,
+)
+from repro.experiments.engine import FAULT_EVERY_ENV, InjectedFaultError
 from repro.telemetry import get_telemetry
 from repro.utils.io import atomic_write_json, read_json
 
@@ -144,8 +155,25 @@ class TestCheckpointStore:
     def test_meta_records_format_version(self, tmp_path):
         CheckpointStore(tmp_path, "table2", fingerprint={"seed": 1})
         meta = json.loads((tmp_path / "table2" / "meta.json").read_text())
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
         assert meta["experiment_id"] == "table2"
+
+    def test_resume_rejects_another_format_version(self, tmp_path):
+        # A version-1 directory holds point rows, not stream payloads;
+        # resuming must refuse it rather than misread them.
+        fingerprint = {"seed": 1}
+        CheckpointStore(tmp_path, "table2", fingerprint=fingerprint)
+        meta_path = tmp_path / "table2" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError) as excinfo:
+            CheckpointStore(
+                tmp_path, "table2", fingerprint=fingerprint, resume=True
+            )
+        message = str(excinfo.value)
+        assert "version 1" in message and "format 2" in message
+        assert "drop --resume" in message
 
 
 class TestDriverResume:
@@ -208,9 +236,99 @@ class TestDriverResume:
             telemetry.reset()
         assert resumed.rows == fresh.rows
 
+    def test_killed_between_a_points_streams_resumes_to_the_fresh_rows(
+        self, tmp_path, monkeypatch
+    ):
+        # Kill the run inside snr15's authentic stream: the emulated
+        # stream of the same point is already checkpointed.
+        params = {**self.PARAMS, "include_authentic": True}
+
+        def _killed(context, args, rngs):
+            raise InjectedFaultError("killed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(table2_attack_awgn, "_authentic_trial", _killed)
+            with pytest.raises(TrialExecutionError):
+                table2_attack_awgn.run(
+                    rng=3, checkpoint_dir=str(tmp_path), **params
+                )
+        assert (tmp_path / "table2" / "point_snr15.json").exists()
+        assert not (tmp_path / "table2" / "point_snr15.authentic.json").exists()
+
+        fresh = table2_attack_awgn.run(rng=3, **params)
+        telemetry = get_telemetry()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            resumed = table2_attack_awgn.run(
+                rng=3, checkpoint_dir=str(tmp_path), resume=True, **params
+            )
+            counters = telemetry.registry.counters
+            assert counters["engine.points_resumed"].value == 1
+            # Three of the four streams run again: 3 trials each.
+            assert counters["engine.trials"].value == 9
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert resumed.rows == fresh.rows
+
     def test_faulted_retry_run_matches_unfaulted_rows(self, tmp_path, monkeypatch):
         fresh = table2_attack_awgn.run(rng=3, **self.PARAMS)
         monkeypatch.setenv(FAULT_EVERY_ENV, "5")
         engine_module._FAULTED_SEEDS.clear()
         faulted = table2_attack_awgn.run(rng=3, on_error="retry", **self.PARAMS)
         assert faulted.rows == fresh.rows
+
+
+#: A tiny config per sweep spec: every stream finishes in a few trials.
+TINY = {
+    "table2": (table2_attack_awgn, {"snrs_db": (15, 17), "trials": 4}),
+    "table4": (table4_de2_snr, {"snrs_db": (12,), "waveforms_per_point": 3}),
+    "table5": (table5_de2_distance,
+               {"distances_m": (1,), "waveforms_per_point": 2}),
+    "fig12": (fig12_defense,
+              {"snrs_db": (12,), "train_per_class": 3, "test_per_class": 3}),
+    "fig13": (fig13_rssi, {"distances_m": (1, 2), "packets_per_point": 3}),
+    "fig14": (fig14_error_rates, {"distances_m": (1,), "trials": 2}),
+}
+
+
+def _cells(result):
+    """Rows as column-ordered lists, NaN as a comparable string."""
+    return [
+        ["NaN" if isinstance(row[c], float) and math.isnan(row[c]) else row[c]
+         for c in result.columns]
+        for row in result.rows
+    ]
+
+
+class TestStreamCheckpointParity:
+    """Checkpoint then resume reproduces the fresh rows for every spec."""
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("experiment_id", sorted(TINY))
+    def test_resume_reproduces_fresh_rows(
+        self, experiment_id, adaptive, tmp_path
+    ):
+        module, params = TINY[experiment_id]
+        kwargs = dict(params, rng=2, adaptive=adaptive)
+        fresh = module.run(**kwargs)
+        first = module.run(checkpoint_dir=str(tmp_path), **kwargs)
+        assert _cells(first) == _cells(fresh)
+        plan = module.SPEC.plan(module.SPEC.resolve_config(params))
+        streams = sum(len(point.streams) for point in plan.points)
+        telemetry = get_telemetry()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            resumed = module.run(
+                checkpoint_dir=str(tmp_path), resume=True, **kwargs
+            )
+            counters = telemetry.registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert _cells(resumed) == _cells(fresh)
+        assert counters.get("engine.trials", 0) == 0
+        assert counters["engine.points_resumed"] == streams

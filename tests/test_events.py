@@ -158,7 +158,7 @@ class TestSinks:
         sink.emit({"event": "heartbeat", "trials_done": 5, "ts": 0.0,
                    "trials_per_second": 2.5})
         sink.emit({"event": "point_finished", "experiment": "table2",
-                   "point": "snr15", "rows_so_far": 1, "ts": 0.0})
+                   "point": "snr15", "trials": 3, "ts": 0.0})
         sink.close()
         text = buffer.getvalue()
         assert "\r" in text  # the rewritten ticker line

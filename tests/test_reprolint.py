@@ -442,7 +442,7 @@ class TestR012NoDirectEngineWiring:
         )
         assert "R012" in codes(
             """
-            from repro.experiments.adaptive import AdaptiveSweep
+            from repro.experiments.engine import MonteCarloEngine as Engine
             """
         )
 
@@ -467,7 +467,6 @@ class TestR012NoDirectEngineWiring:
             "src/repro/experiments/sweep.py",
             "src/repro/experiments/engine.py",
             "src/repro/experiments/checkpoint.py",
-            "src/repro/experiments/adaptive.py",
             "src/repro/experiments/bench.py",
             "src/repro/experiments/__init__.py",
         ):

@@ -36,7 +36,9 @@ from repro.experiments.registry import (
     experiment_ids,
     get_experiment,
 )
+from repro.experiments.engine import IncrementalRun
 from repro.experiments.sweep import apply_scenario, load_scenario, run_sweep
+from repro.telemetry.events import MemoryEventSink, get_event_stream
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORACLE_DIR = os.path.join(REPO_ROOT, "benchmarks", "baselines", "sweep-oracles")
@@ -123,6 +125,51 @@ class TestOracleParity:
         oracle = load_oracle(experiment_id, "fixed")
         result = run_from_oracle(experiment_id, oracle, **engine)
         assert result_cells(result, oracle["columns"]) == oracle["rows"]
+
+
+class TestStreamLoop:
+    """One loop over the plan's streams, in plan order, in both modes."""
+
+    PARAMS = {"snrs_db": (15, 17), "trials": 5, "include_authentic": True,
+              "screen_defense": False}
+    KEYS = ["snr15", "snr15.authentic", "snr17", "snr17.authentic"]
+
+    def test_fixed_streams_get_their_budget_in_one_grant(self, monkeypatch):
+        grants = []
+        extend = IncrementalRun.extend
+
+        def recording_extend(run, count):
+            grants.append(count)
+            return extend(run, count)
+
+        monkeypatch.setattr(IncrementalRun, "extend", recording_extend)
+        table2_attack_awgn.run(rng=1, **self.PARAMS)
+        assert grants == [5] * len(self.KEYS)
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_point_events_are_per_stream(self, adaptive):
+        stream = get_event_stream()
+        sink = stream.add_sink(MemoryEventSink())
+        stream.enable()
+        try:
+            result = table2_attack_awgn.run(
+                rng=1, adaptive=adaptive, **self.PARAMS
+            )
+        finally:
+            stream.remove_sink(sink)
+            stream.disable()
+        started = [e for e in sink.records if e["event"] == "point_started"]
+        finished = [e for e in sink.records if e["event"] == "point_finished"]
+        assert [e["point"] for e in started] == self.KEYS
+        assert [e["point"] for e in finished] == self.KEYS
+        assert all(e["trials"] == 5 for e in started)
+        assert all("rows_so_far" not in e for e in finished)
+        if adaptive:
+            used = {row["snr_db"]: row["trials_used"] for row in result.rows}
+            assert [e["trials"] for e in finished][::2] == [used[15], used[17]]
+        else:
+            assert all(e["trials"] == 5 for e in finished)
 
 
 SCENARIO = {
