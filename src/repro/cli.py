@@ -18,13 +18,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.baseline import DEFAULT_BASELINE_PATH as LINT_BASELINE_PATH
 from repro.analysis.cache import DEFAULT_CACHE_DIR as LINT_CACHE_DIR
+from repro.errors import ConfigurationError
 from repro.experiments.registry import experiment_ids, get_experiment
+from repro.experiments.sweep import apply_scenario, load_scenario, run_sweep
 from repro.telemetry import get_telemetry, stopwatch
 
 
@@ -276,7 +279,6 @@ def _generate_dataset(out: str, per_class: int, snrs, seed: int) -> None:
 
     from repro.defense.constellation import reconstruct_constellation
     from repro.defense.mlbaseline import feature_vector
-    from repro.errors import ConfigurationError
     from repro.experiments.common import (
         prepare_authentic,
         prepare_emulated,
@@ -379,158 +381,102 @@ def _result_to_json(result) -> Dict[str, Any]:
     }
 
 
-#: ``(capability token, CLI flag)`` pairs checked by ``_unsupported_flags``.
-_CAPABILITY_FLAGS = (
-    ("trials", "--trials"),
-    ("workers", "--workers"),
-    ("chunk_size", "--chunk-size"),
-    ("on_error", "--on-error"),
-    ("checkpoint", "--checkpoint-dir"),
-    ("adaptive", "--adaptive"),
-    ("scenario", "--scenario"),
-)
+#: The engine options and their defaults: the keyword-only parameters
+#: of :func:`run_sweep` bar ``rng``.  Each engine flag's argparse
+#: ``dest`` is the keyword it feeds.
+_ENGINE_OPTIONS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(run_sweep).parameters.items()
+    if parameter.kind is parameter.KEYWORD_ONLY and name != "rng"
+}
 
 
-def _requested_capabilities(args: argparse.Namespace) -> List[str]:
-    """Capability tokens the given CLI flags actually exercise."""
-    requested = []
-    if args.trials is not None:
-        requested.append("trials")
-    if args.workers is not None:
-        requested.append("workers")
-    if args.chunk_size is not None:
-        requested.append("chunk_size")
-    if args.on_error != "raise":
-        requested.append("on_error")
-    if args.checkpoint_dir is not None:
-        requested.append("checkpoint")
-    if args.adaptive:
-        requested.append("adaptive")
-    if args.scenario is not None:
-        requested.append("scenario")
-    return requested
+def _engine_flags(args: argparse.Namespace) -> Dict[str, Any]:
+    """The engine options the command line sets away from their defaults."""
+    return {
+        name: getattr(args, name) for name, default in _ENGINE_OPTIONS.items()
+        if getattr(args, name) not in (None, default)
+    }
 
 
 def _unsupported_flags(entry, args: argparse.Namespace) -> List[str]:
-    """CLI flags the entry's declared capabilities cannot honour."""
-    requested = set(_requested_capabilities(args))
-    return [
-        flag for capability, flag in _CAPABILITY_FLAGS
-        if capability in requested and capability not in entry.capabilities
-    ]
+    """Flags ``entry`` cannot honour.
 
-
-def _entry_kwargs(
-    entry,
-    trials: Optional[int],
-    workers: Any,
-    chunk_size: Optional[int],
-    on_error: str,
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    adaptive: bool,
-    rel_precision: Optional[float],
-    max_trials: Optional[int],
-) -> Dict[str, Any]:
-    """Engine keyword arguments from the entry's declared capabilities.
-
-    Flags an entry does not declare are dropped here — the strict
-    named-experiment path has already rejected them, and ``run all``
-    deliberately applies each flag only where it is supported.
+    Engine and scenario flags need a sweep spec; ``--trials`` needs a
+    trial-count parameter.
     """
-    capabilities = entry.capabilities
-    kwargs: Dict[str, Any] = {}
-    if trials is not None and "trials" in capabilities:
-        kwargs[entry.trials_param] = trials
-    if workers is not None and "workers" in capabilities:
-        kwargs["workers"] = workers
-    if chunk_size is not None and "chunk_size" in capabilities:
-        kwargs["chunk_size"] = chunk_size
-    if on_error != "raise" and "on_error" in capabilities:
-        kwargs["on_error"] = on_error
-    if checkpoint_dir is not None and "checkpoint" in capabilities:
-        kwargs["checkpoint_dir"] = checkpoint_dir
-        kwargs["resume"] = resume
-    if adaptive and "adaptive" in capabilities:
-        kwargs["adaptive"] = True
-        if rel_precision is not None:
-            kwargs["rel_precision"] = rel_precision
-        if max_trials is not None:
-            kwargs["max_trials"] = max_trials
-    return kwargs
+    flags = []
+    if args.trials is not None and entry.trials_param is None:
+        flags.append("--trials")
+    if entry.spec is None:
+        flags.extend(
+            "--" + name.replace("_", "-") for name in _engine_flags(args)
+        )
+        if args.scenario is not None:
+            flags.append("--scenario")
+    return flags
 
 
 def _run_one(
     experiment_id: str,
-    trials: Optional[int],
-    seed: int,
-    save_dir: Optional[str] = None,
-    as_json: bool = False,
-    workers: Any = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
+    args: argparse.Namespace,
     run_dir: Any = None,
-    adaptive: bool = False,
-    rel_precision: Optional[float] = None,
-    max_trials: Optional[int] = None,
     scenario: Optional[Dict[str, Any]] = None,
 ) -> None:
+    """Run one experiment, print (and optionally save) its result.
+
+    Sweep entries go through :func:`run_sweep` with the scenario's
+    overrides and the engine flags; direct runners get only ``--trials``.
+    Flags an entry cannot honour are dropped here: a named experiment
+    has already rejected them, and ``run all`` applies each flag only
+    where it is supported.
+    """
     telemetry = get_telemetry()
     entry = get_experiment(experiment_id)
-    kwargs = _entry_kwargs(
-        entry, trials, workers, chunk_size, on_error,
-        checkpoint_dir, resume, adaptive, rel_precision, max_trials,
-    )
+    seed = args.seed
+    config: Dict[str, Any] = {}
     scenario_overrides: Optional[Dict[str, Any]] = None
     if scenario is not None:
-        from repro.experiments.sweep import apply_scenario, run_sweep
-
         scenario_overrides = apply_scenario(entry.spec, scenario)
-        overrides = dict(scenario_overrides)
-        if entry.trials_param is not None and entry.trials_param in kwargs:
-            # --trials wins over the scenario's own trial-count axis.
-            overrides[entry.trials_param] = kwargs.pop(entry.trials_param)
-
-        def runner(**kw):
-            """Scenario runs go straight through the spec runner."""
-            return run_sweep(entry.spec, overrides=overrides, rng=seed, **kw)
-    else:
-
-        def runner(**kw):
-            """Plain runs call the registered runner as before."""
-            return entry.run(rng=seed, **kw)
+        config.update(scenario_overrides)
+    if args.trials is not None and entry.trials_param is not None:
+        # --trials wins over the scenario's own trial-count axis.
+        config[entry.trials_param] = args.trials
     with stopwatch() as timer:
         with telemetry.span(f"experiment.{experiment_id}"):
-            result = runner(**kwargs)
+            if entry.spec is None:
+                result = entry.run(rng=seed, **config)
+            else:
+                result = run_sweep(
+                    entry.spec, rng=seed, **config, **_engine_flags(args)
+                )
     elapsed = timer.seconds
     span_tree = None
     if telemetry.enabled:
         # Attach this experiment's subtree, not the whole run's.
         node = telemetry.root.children.get(f"experiment.{experiment_id}")
         span_tree = node.to_dict() if node is not None else None
-    config = {"trials": trials, "workers": workers,
-              "chunk_size": chunk_size, "on_error": on_error,
-              "checkpoint_dir": checkpoint_dir, "resume": resume,
-              "adaptive": adaptive, "rel_precision": rel_precision,
-              "max_trials": max_trials,
-              "elapsed_seconds": round(elapsed, 3)}
+    manifest_config = {
+        "trials": args.trials,
+        **{name: getattr(args, name) for name in _ENGINE_OPTIONS},
+        "elapsed_seconds": round(elapsed, 3),
+    }
     if scenario_overrides is not None:
-        config["scenario"] = scenario_overrides
-    result.attach_manifest(seed=seed, config=config, span_tree=span_tree)
-    if as_json:
+        manifest_config["scenario"] = scenario_overrides
+    result.attach_manifest(seed=seed, config=manifest_config,
+                           span_tree=span_tree)
+    if args.json:
         print(json.dumps(_result_to_json(result), default=_json_default))
     else:
         print(result.format_table())
         print(f"[{experiment_id} finished in {elapsed:.1f} s]")
-    if save_dir is not None:
-        _save_result(result, save_dir)
-        if not as_json:
-            print(f"[saved {experiment_id} to {save_dir}/]")
+    if args.save is not None:
+        _save_result(result, args.save)
+        if not args.json:
+            print(f"[saved {experiment_id} to {args.save}/]")
     if run_dir is not None:
         run_dir.write_rows(result)
-    if not as_json:
+    if not args.json:
         print()
 
 
@@ -696,8 +642,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{experiment_id:8s} {entry.description}")
         return 0
     if args.command == "dataset":
-        from repro.errors import ConfigurationError
-
         try:
             _generate_dataset(args.out, args.per_class, args.snrs, args.seed)
         except ConfigurationError as error:
@@ -745,8 +689,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _generate_report(args.path, args.trials, args.seed)
         return 0
     if args.command == "runs":
-        from repro.errors import ConfigurationError
-
         try:
             return _runs_command(args)
         except ConfigurationError as error:
@@ -763,9 +705,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     scenario = None
     if args.scenario is not None:
-        from repro.errors import ConfigurationError
-        from repro.experiments.sweep import load_scenario
-
         try:
             scenario = load_scenario(args.scenario)
             if args.experiment not in (None, scenario["experiment"]):
@@ -783,16 +722,15 @@ def main(argv: Optional[List[str]] = None) -> int:
               "--scenario FILE", file=sys.stderr)
         return 2
     if args.experiment != "all":
-        # Strict for a named experiment: every flag must be a declared
-        # capability.  'run all' stays lenient and applies each flag
-        # only where the entry declares support.
-        entry = get_experiment(args.experiment)
-        unsupported = _unsupported_flags(entry, args)
+        # Strict for a named experiment: every flag must apply to it.
+        # 'run all' stays lenient and applies each flag only where the
+        # entry supports it.
+        unsupported = _unsupported_flags(get_experiment(args.experiment), args)
         if unsupported:
-            declared = ", ".join(sorted(entry.capabilities)) or "none"
             print(f"error: {args.experiment} does not support "
-                  f"{', '.join(unsupported)}; declared capabilities: "
-                  f"{declared}", file=sys.stderr)
+                  f"{', '.join(unsupported)} (engine and scenario flags "
+                  f"need a sweep spec; --trials needs a trial-count "
+                  f"parameter)", file=sys.stderr)
             return 2
     targets = experiment_ids() if args.experiment == "all" else [args.experiment]
     use_telemetry = (
@@ -804,28 +742,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry.reset()
         telemetry.enable()
         run_dir = _start_run_directory(args, targets)
-    # No except clause: a status flag flipped on the last line of the
-    # try-body tells the finalizer whether we exited cleanly, without
-    # swallowing (or even naming) the in-flight exception.
+    # The status flag flips on the last line of the try-body, so the
+    # finalizer records "error" for any exit but a clean one; a bad
+    # configuration found mid-run exits 2 like the checks above.
     status = "error"
     try:
         for experiment_id in targets:
-            _run_one(experiment_id, args.trials, args.seed,
-                     save_dir=args.save, as_json=args.json,
-                     workers=args.workers, chunk_size=args.chunk_size,
-                     on_error=args.on_error,
-                     checkpoint_dir=args.checkpoint_dir,
-                     resume=args.resume, run_dir=run_dir,
-                     adaptive=args.adaptive,
-                     rel_precision=args.rel_precision,
-                     max_trials=args.max_trials,
-                     scenario=scenario)
+            _run_one(experiment_id, args, run_dir=run_dir, scenario=scenario)
         status = "ok"
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if use_telemetry:
             _finish_telemetry(args, targets, run=run_dir, status=status)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

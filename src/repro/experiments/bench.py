@@ -91,21 +91,20 @@ def measure_engine_throughput(
     vectorization win (field names kept from schema 3), and
     ``stage_seconds`` the per-stage breakdown of the default serial leg.
 
-    When the experiment supports adaptive precision-targeted sampling a
-    fourth leg runs it serially at the default 10% relative precision:
-    ``adaptive_*`` fields record its wall clock, the trials it actually
-    executed versus the fixed budget, and the resulting speedup over
-    the batched serial leg.
+    Unless ``adaptive`` is false, a fourth leg runs the sweep serially
+    with adaptive precision-targeted sampling at the default 10%
+    relative precision: ``adaptive_*`` fields record its wall clock,
+    the trials it actually executed versus the fixed budget, and the
+    resulting speedup over the batched serial leg.
 
     ``workers=None`` resolves to :func:`default_bench_workers` so the
     recorded speedup reflects real parallelism on this host.
     """
     entry = get_experiment(experiment_id)
-    if entry.trials_param is None or "chunk_size" not in entry.capabilities:
+    if entry.spec is None or entry.trials_param is None:
         raise ConfigurationError(
-            f"bench-engine needs an engine-backed experiment with a trial "
-            f"count; {experiment_id!r} declares "
-            f"{sorted(entry.capabilities)}"
+            f"bench-engine needs a sweep experiment with a trial count; "
+            f"{experiment_id!r} is not one"
         )
     if workers is None:
         workers = default_bench_workers()
@@ -119,7 +118,6 @@ def measure_engine_throughput(
             f"min(4, host CPUs)",
             RuntimeWarning,
         )
-    supports_adaptive = adaptive and "adaptive" in entry.capabilities
     common = {"rng": seed, entry.trials_param: trials}
     # Record engine counters across every leg so the baseline carries
     # the same failure-class telemetry the run registry gates on.
@@ -138,7 +136,7 @@ def measure_engine_throughput(
             )
         adaptive_leg = None
         adaptive_trials_executed = adaptive_trials_saved = 0
-        if supports_adaptive:
+        if adaptive:
             before = dict(telemetry.registry.snapshot()["counters"])
             with telemetry.span("bench.adaptive"):
                 adaptive_leg = _timed_run(entry, adaptive=True, **common)

@@ -193,12 +193,22 @@ _WORKER_CONTEXT: Optional[Dict[str, Any]] = None
 _FAULTED_SEEDS: set = set()
 
 
-def _maybe_inject_fault(seed: int) -> None:
-    """Raise an :class:`InjectedFaultError` per the drill env variable."""
+def _fault_every() -> int:
+    """The drill period set by :data:`FAULT_EVERY_ENV`; 0 when unset."""
     spec = os.environ.get(FAULT_EVERY_ENV)
     if not spec:
-        return
-    every = int(spec)
+        return 0
+    try:
+        return int(spec)
+    except ValueError:
+        raise ConfigurationError(
+            f"{FAULT_EVERY_ENV} must be an integer, got {spec!r}"
+        ) from None
+
+
+def _maybe_inject_fault(seed: int) -> None:
+    """Raise an :class:`InjectedFaultError` per the drill env variable."""
+    every = _fault_every()
     if every <= 0 or seed % every or seed in _FAULTED_SEEDS:
         return
     _FAULTED_SEEDS.add(seed)
@@ -400,6 +410,9 @@ class EngineSession:
     """
 
     def __init__(self, engine: "MonteCarloEngine", context: Dict[str, Any]):
+        # Validate the fault-drill variable here, once, rather than deep
+        # inside the first chunk that reads it.
+        _fault_every()
         self._engine = engine
         self._context = context
         self._pool: Optional[ProcessPoolExecutor] = None

@@ -6,21 +6,24 @@ waveforms per class and show every ZigBee waveform below Q and every
 emulated waveform above it.  We run the identical protocol; our
 calibrated Q is smaller in absolute terms (cleaner receiver) but the
 classification is just as clean.
+
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`
+(config keys and engine options by keyword).  Checkpointing persists
+each (SNR, split, class) collection stream; the threshold and the table
+rows are cheap reductions recomputed from the (possibly resumed)
+streams every run.  ``adaptive`` stops each collection stream once its
+mean-D_E^2 Welford CI reaches ``rel_precision`` relative half-width.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
 from repro.defense.detector import calibrate_threshold
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import (
-    ExperimentResult,
-    prepare_authentic,
-    prepare_emulated,
-)
+from repro.experiments.common import prepare_authentic, prepare_emulated
 from repro.experiments.defense_common import distance_trial
 from repro.experiments.sweep import (
     PointSpec,
@@ -34,7 +37,6 @@ from repro.experiments.sweep import (
     resolve_receiver,
     run_sweep,
 )
-from repro.utils.rng import RngLike
 
 
 def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
@@ -155,37 +157,4 @@ SPEC = SweepSpec(
 )
 
 
-def run(
-    snrs_db: Sequence[float] = (7, 12, 17),
-    train_per_class: int = 25,
-    test_per_class: int = 25,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Calibrate Q on training waveforms and evaluate on held-out ones.
-
-    Checkpointing persists each (SNR, split, class) collection point;
-    the threshold and the table rows are cheap reductions recomputed
-    from the (possibly resumed) points every run.  ``adaptive`` stops
-    each collection point once its mean-D_E^2 Welford CI reaches
-    ``rel_precision`` relative half-width (cap ``max_trials``).
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "snrs_db": tuple(snrs_db),
-            "train_per_class": train_per_class,
-            "test_per_class": test_per_class,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = partial(run_sweep, SPEC)

@@ -6,18 +6,24 @@ it two ways: analytically from the link budget, and empirically by
 measuring the 8-symbol RSSI window on waveforms propagated through the
 real-environment channel.  Each measured packet is one engine trial, so
 ``workers`` parallelizes the sweep deterministically.
+
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`
+(config keys and engine options by keyword).  ``adaptive`` stops each
+distance point once the measured-RSSI Welford CI reaches
+``rel_precision`` relative half-width, adding ``trials_used`` to each
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import ExperimentResult, prepare_authentic
+from repro.experiments.common import prepare_authentic
 from repro.experiments.sweep import (
     PointSpec,
     ScenarioSupport,
@@ -29,7 +35,6 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.hardware.rssi import RssiEstimator
-from repro.utils.rng import RngLike
 
 
 def _rssi_trial(
@@ -152,35 +157,4 @@ SPEC = SweepSpec(
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8),
-    packets_per_point: int = 5,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """RSSI vs distance, analytic and measured.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) finished distance
-    streams; ``on_error`` selects the engine's trial-failure policy.
-    ``adaptive`` stops each distance point once the measured-RSSI
-    Welford CI reaches ``rel_precision`` relative half-width (cap
-    ``max_trials``), adding ``trials_used`` to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "packets_per_point": packets_per_point,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = partial(run_sweep, SPEC)

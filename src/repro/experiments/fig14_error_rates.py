@@ -10,22 +10,26 @@ below 0.1 at 8 m).  The qualitative claims to reproduce:
 * packet error rate >= symbol error rate;
 * the commodity receiver profile beats the USRP profile at range.
 
-Each transmission is one engine trial with its own RNG stream, so the
-(distance x receiver x waveform) grid parallelizes across ``workers``
-with results bit-identical to the serial run at the same seed.
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`
+(config keys and engine options by keyword).  Each transmission is one
+engine trial with its own RNG stream, so the (distance x receiver x
+waveform) grid parallelizes across ``workers`` with results
+bit-identical to the serial run at the same seed.  ``adaptive`` stops
+each cell once its packet-error-rate Wilson CI reaches
+``rel_precision`` relative half-width, adding ``trials_used`` and the
+CI bounds to each row.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
-    ExperimentResult,
     packet_delivered,
     prepare_authentic,
     prepare_emulated,
@@ -45,7 +49,6 @@ from repro.hardware.cc26x2 import cc26x2_receiver_config
 from repro.hardware.rssi import RssiEstimator
 from repro.hardware.usrp import usrp_receiver_config
 from repro.link.metrics import symbol_errors
-from repro.utils.rng import RngLike
 from repro.zigbee.receiver import ZigBeeReceiver
 
 
@@ -216,36 +219,4 @@ SPEC = SweepSpec(
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8),
-    trials: int = 10,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Error-rate sweep over distance for both receivers and waveforms.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) each finished
-    (distance, receiver, waveform) cell; ``on_error`` selects the
-    engine's trial-failure policy.  ``adaptive`` stops each cell once
-    its packet-error-rate Wilson CI reaches ``rel_precision`` relative
-    half-width (cap ``max_trials``), adding ``trials_used`` and the CI
-    bounds to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "trials": trials,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = partial(run_sweep, SPEC)

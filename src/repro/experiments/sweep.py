@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -240,19 +240,26 @@ class SweepSpec:
     def resolve_config(
         self, overrides: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:
-        """Defaults merged with overrides; unknown keys rejected."""
+        """Defaults merged with overrides; unknown keys rejected.
+
+        A key whose default is a tuple (an axis grid) stores any
+        iterable override as a tuple, so a list, array or generator grid
+        resolves to the same config as the default would.
+        """
         config: Dict[str, Any] = dict(self.defaults)
         for key in SCENARIO_CONFIG_KEYS:
             config.setdefault(key, None)
-        if overrides:
-            unknown = set(overrides) - set(config)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown config keys for {self.experiment_id!r}: "
-                    f"{sorted(unknown)}; valid keys: "
-                    f"{sorted(self.defaults)}"
-                )
-            config.update(overrides)
+        overrides = overrides or {}
+        unknown = set(overrides) - set(config)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config keys for {self.experiment_id!r}: "
+                f"{sorted(unknown)}; valid keys: {sorted(config)}"
+            )
+        for key, value in overrides.items():
+            if isinstance(config[key], tuple) and not isinstance(value, str):
+                value = tuple(value)
+            config[key] = value
         return config
 
 
@@ -576,9 +583,9 @@ class _OpenStream:
 
 def run_sweep(
     spec: SweepSpec,
-    overrides: Optional[Mapping[str, Any]] = None,
+    *,
     rng: RngLike = None,
-    workers: Optional[int] = None,
+    workers: Union[int, str, None] = None,
     chunk_size: Optional[int] = None,
     on_error: str = "raise",
     checkpoint_dir: Optional[str] = None,
@@ -586,35 +593,48 @@ def run_sweep(
     adaptive: bool = False,
     rel_precision: float = DEFAULT_REL_PRECISION,
     max_trials: Optional[int] = None,
+    **config: Any,
 ) -> ExperimentResult:
     """Run one declarative sweep: the single owner of all engine wiring.
 
+    Every sweep driver's ``run`` is ``partial(run_sweep, SPEC)``, so
+    this signature is the one place the engine options are named;
+    every other keyword is the spec's config.
+
     Args:
         spec: the sweep declaration.
-        overrides: config overrides on top of ``spec.defaults``
-            (axis grids, counts, scenario channel/receiver/detector).
         rng: randomness; an integer seed pins the whole run.
-        workers: Monte Carlo engine worker processes (default: serial).
+        workers: Monte Carlo engine worker processes (default: serial),
+            or ``"auto"`` for the host CPU count.
         chunk_size: trials per engine dispatch (default: derived).
         on_error: trial-failure policy (``raise``/``retry``/``skip``).
         checkpoint_dir: persist each finished stream atomically.
         resume: serve finished streams from ``checkpoint_dir``
-            (requires a matching fingerprint: same seed, axis, budgets,
-            adaptive knobs, scenario).
+            (requires an integer ``rng`` seed and a matching
+            fingerprint: same seed, axis, budgets, adaptive knobs,
+            scenario).
         adaptive: stop each stream once its declared estimator reaches
             the target relative CI half-width, reallocating saved
             trials to unconverged streams.
         rel_precision: adaptive target relative CI half-width.
         max_trials: adaptive hard per-stream cap (default 4x budget).
+        **config: overrides of ``spec.defaults`` (axis grids, counts)
+            and the scenario keys (``channel``, ``receiver_profile``,
+            ``detector_overrides``), validated by
+            :meth:`SweepSpec.resolve_config`.
     """
-    config = spec.resolve_config(overrides)
+    config = spec.resolve_config(config)
     adaptive_config = (
         AdaptiveConfig(rel_precision=rel_precision, max_trials=max_trials)
         if adaptive else None
     )
-    fingerprint: Dict[str, Any] = {
-        "seed": rng if isinstance(rng, int) else None,
-    }
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    if resume and seed is None:
+        raise ConfigurationError(
+            f"resume needs an integer seed to match the checkpoint "
+            f"fingerprint, got rng={rng!r}"
+        )
+    fingerprint: Dict[str, Any] = {"seed": seed}
     fingerprint.update(spec.fingerprint(config))
     scenario = scenario_fragment(config)
     if scenario:

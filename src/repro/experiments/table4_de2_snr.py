@@ -5,20 +5,22 @@ The paper averages D_E^2 over 50 training waveforms per class at SNR 7,
 ZigBee vs 1.71/1.62/1.55 for emulated).  Our receiver substrate yields
 smaller absolute values on both sides, but the same monotone trends and
 a gap wide enough for a single threshold.
+
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`
+(config keys and engine options by keyword).  ``chip_source`` selects
+the defense chip tap (see ``defense_common``).  ``adaptive`` stops each
+(SNR, class) point at its mean-D_E^2 Welford-CI precision target, and
+rows gain ``trials_used`` (summed over the two classes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
-from repro.experiments.common import (
-    ExperimentResult,
-    prepare_authentic,
-    prepare_emulated,
-)
+from repro.experiments.common import prepare_authentic, prepare_emulated
 from repro.experiments.defense_common import distance_trial, mean_or_nan
 from repro.experiments.sweep import (
     PointSpec,
@@ -32,7 +34,6 @@ from repro.experiments.sweep import (
     resolve_receiver,
     run_sweep,
 )
-from repro.utils.rng import RngLike
 
 PAPER_TABLE4 = {
     7: (0.1546, 1.7140),
@@ -148,38 +149,4 @@ SPEC = SweepSpec(
 )
 
 
-def run(
-    snrs_db: Sequence[float] = (7, 12, 17),
-    waveforms_per_point: int = 50,
-    chip_source: str = "quadrature",
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Average D_E^2 per class per SNR (paper: 50 waveforms per cell).
-
-    ``chip_source`` selects the defense chip tap (see
-    ``defense_common``).  The engine knobs follow the standard
-    :func:`repro.experiments.sweep.run_sweep` contract; ``adaptive``
-    stops each (SNR, class) point at its mean-D_E^2 Welford-CI
-    precision target and rows gain ``trials_used`` (summed over the
-    two classes).
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "snrs_db": tuple(snrs_db),
-            "waveforms_per_point": waveforms_per_point,
-            "chip_source": chip_source,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = partial(run_sweep, SPEC)

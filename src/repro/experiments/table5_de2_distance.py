@@ -8,22 +8,32 @@ fading, random CFO/phase) reproduces the distance-independent gap; the
 detector uses the |C40| variant exactly as Sec. VI-C prescribes for
 offset channels.
 
-Each waveform sample is one engine trial with its own spawned RNG
-stream (channel realization included), so ``workers`` parallelizes the
-sweep with results bit-identical to the serial run at the same seed.
+At several metres the in-band SNR drops to single digits, so the
+defense relies on the paper's noise-variance subtraction (Sec. VI-B2,
+``noise_corrected``) over the linear matched-filter chips; without it
+the statistic of *both* classes inflates with distance and the gap
+closes.
+
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`
+(config keys and engine options by keyword).  Each waveform sample is
+one engine trial with its own spawned RNG stream (channel realization
+included), so ``workers`` parallelizes the sweep with results
+bit-identical to the serial run at the same seed.  ``adaptive`` stops
+each (distance, class) point once its mean-D_E^2 Welford CI reaches
+``rel_precision`` relative half-width, adding ``trials_used`` to each
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.pathloss import LinkBudget
-from repro.experiments.adaptive import DEFAULT_REL_PRECISION
 from repro.experiments.common import (
-    ExperimentResult,
     prepare_authentic,
     prepare_emulated,
     propagate_batch,
@@ -41,7 +51,6 @@ from repro.experiments.sweep import (
     resolve_receiver,
     run_sweep,
 )
-from repro.utils.rng import RngLike
 
 PAPER_TABLE5 = {
     1: (0.0004, 1.1426),
@@ -196,44 +205,4 @@ SPEC = SweepSpec(
 )
 
 
-def run(
-    distances_m: Sequence[float] = (1, 2, 3, 4, 5, 6),
-    waveforms_per_point: int = 30,
-    chip_source: str = "matched_filter",
-    noise_corrected: bool = True,
-    rng: RngLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    adaptive: bool = False,
-    rel_precision: float = DEFAULT_REL_PRECISION,
-    max_trials: Optional[int] = None,
-) -> ExperimentResult:
-    """Average D_E^2 per class per distance under the real environment.
-
-    At several metres the in-band SNR drops to single digits, so the
-    defense relies on the paper's noise-variance subtraction (Sec. VI-B2)
-    over the linear matched-filter chips; without it the statistic of
-    *both* classes inflates with distance and the gap closes.
-
-    ``checkpoint_dir``/``resume`` persist (and skip) finished
-    (distance, class) streams; ``on_error`` selects the engine's trial-failure policy.
-    ``adaptive`` stops each (distance, class) point once its mean-D_E^2
-    Welford CI reaches ``rel_precision`` relative half-width (cap
-    ``max_trials``, default 4x), adding ``trials_used`` to each row.
-    """
-    return run_sweep(
-        SPEC,
-        overrides={
-            "distances_m": tuple(distances_m),
-            "waveforms_per_point": waveforms_per_point,
-            "chip_source": chip_source,
-            "noise_corrected": noise_corrected,
-        },
-        rng=rng, workers=workers, chunk_size=chunk_size, on_error=on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-        adaptive=adaptive, rel_precision=rel_precision,
-        max_trials=max_trials,
-    )
+run = partial(run_sweep, SPEC)

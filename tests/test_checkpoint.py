@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrialExecutionError
@@ -204,6 +205,31 @@ class TestDriverResume:
         with pytest.raises(ConfigurationError):
             table2_attack_awgn.run(
                 rng=2, checkpoint_dir=str(tmp_path), resume=True, **self.PARAMS
+            )
+
+    def test_numpy_integer_seeds_are_fingerprinted(self, tmp_path):
+        params = {"snrs_db": (9,), "trials": 6, "include_authentic": False}
+        first = table2_attack_awgn.run(
+            rng=np.int64(1), checkpoint_dir=str(tmp_path), **params
+        )
+        with pytest.raises(ConfigurationError, match="different sweep"):
+            table2_attack_awgn.run(
+                rng=np.int64(2), checkpoint_dir=str(tmp_path), resume=True,
+                **params
+            )
+        resumed = table2_attack_awgn.run(
+            rng=1, checkpoint_dir=str(tmp_path), resume=True, **params
+        )
+        assert resumed.rows == first.rows
+
+    @pytest.mark.parametrize("rng", [None, "generator"])
+    def test_resume_without_an_integer_seed_is_rejected(self, tmp_path, rng):
+        if rng == "generator":
+            rng = np.random.default_rng(1)
+        with pytest.raises(ConfigurationError, match="integer seed"):
+            table2_attack_awgn.run(
+                rng=rng, checkpoint_dir=str(tmp_path), resume=True,
+                **self.PARAMS
             )
 
     def test_killed_sweep_resumes_to_the_fresh_rows(self, tmp_path, monkeypatch):

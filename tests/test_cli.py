@@ -111,6 +111,26 @@ class TestFaultToleranceFlags:
         with pytest.raises(SystemExit):
             main(["run", "table2", "--workers", "many"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "-1"], "non-negative"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--adaptive", "--rel-precision", "-1"], "rel_precision"),
+    ], ids=["trials", "workers", "rel-precision"])
+    def test_bad_engine_config_exits_2(self, flags, message, capsys):
+        assert main(["run", "table2", "--seed", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_bad_config_still_closes_the_run_directory(self, tmp_path, capsys):
+        from repro.telemetry import RunRegistry
+
+        runs_dir = str(tmp_path / "runs")
+        assert main(["run", "table2", "--workers", "0", "--telemetry",
+                     "--runs-dir", runs_dir]) == 2
+        capsys.readouterr()
+        (run,) = RunRegistry(runs_dir).list()
+        assert run.read_manifest()["status"] == "error"
+
     def test_workers_auto_and_on_error_accepted(self, capsys):
         import json
 

@@ -145,6 +145,15 @@ class TestRetry:
             assert session.run(_draw_trial, 10, rng=5,
                                static_args=(1.5,)) == baseline
 
+    def test_non_integer_drill_setting_fails_when_the_session_opens(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv(FAULT_EVERY_ENV, "abc")
+        with pytest.raises(ConfigurationError) as excinfo:
+            MonteCarloEngine().session({})
+        assert FAULT_EVERY_ENV in str(excinfo.value)
+        assert "'abc'" in str(excinfo.value)
+
     def test_retry_exhaustion_raises_with_attempt_count(self):
         engine = MonteCarloEngine(on_error="retry", max_retries=2)
         with engine.session({}) as session:

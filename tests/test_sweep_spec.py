@@ -10,9 +10,13 @@ Three contracts are pinned here:
   ``load_scenario``/``apply_scenario`` into ``run_sweep`` and through
   the CLI, with the manifest recording the applied overrides, and
   malformed files failing with exit code 2 before any trial runs.
-* **Capabilities** — the CLI builds runner kwargs from each entry's
-  declared capabilities, rejects undeclared flags for a named
-  experiment, and records exactly one run directory for ``run all``.
+* **Flag support** — engine and scenario flags need a sweep spec and
+  ``--trials`` needs a trial-count parameter: a named experiment
+  rejects any other flag with exit 2, ``run all`` applies each flag
+  only where it applies, and records exactly one run directory.
+* **Flat config** — a driver's ``run`` is its spec bound to
+  ``run_sweep``: config keys are passed flat next to the engine
+  options and validated by ``SweepSpec.resolve_config``.
 """
 
 import json
@@ -31,13 +35,14 @@ from repro.experiments import (
     table4_de2_snr,
     table5_de2_distance,
 )
-from repro.experiments.registry import (
-    CAPABILITIES,
-    experiment_ids,
-    get_experiment,
-)
+from repro.experiments.registry import experiment_ids, get_experiment
 from repro.experiments.engine import IncrementalRun
-from repro.experiments.sweep import apply_scenario, load_scenario, run_sweep
+from repro.experiments.sweep import (
+    SCENARIO_CONFIG_KEYS,
+    apply_scenario,
+    load_scenario,
+    run_sweep,
+)
 from repro.telemetry.events import MemoryEventSink, get_event_stream
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -199,7 +204,7 @@ class TestScenarioRoundTrip:
         overrides = apply_scenario(table2_attack_awgn.SPEC, scenario)
         assert overrides["snrs_db"] == [9, 15]
         assert overrides["channel"]["profile"] == "rayleigh"
-        result = run_sweep(table2_attack_awgn.SPEC, overrides=overrides, rng=3)
+        result = run_sweep(table2_attack_awgn.SPEC, rng=3, **overrides)
         assert [row["snr_db"] for row in result.rows] == [9, 15]
         assert result.columns == ["snr_db", "success_rate",
                                   "paper_success_rate"]
@@ -210,12 +215,9 @@ class TestScenarioRoundTrip:
         scenario = load_scenario(scenario_path)
         scenario["overrides"].update(snrs_db=[5, 7], trials=8)
         overrides = apply_scenario(table2_attack_awgn.SPEC, scenario)
-        faded = run_sweep(table2_attack_awgn.SPEC, overrides=overrides, rng=3)
-        awgn = run_sweep(
-            table2_attack_awgn.SPEC,
-            overrides={k: v for k, v in overrides.items() if k != "channel"},
-            rng=3,
-        )
+        faded = run_sweep(table2_attack_awgn.SPEC, rng=3, **overrides)
+        del overrides["channel"]
+        awgn = run_sweep(table2_attack_awgn.SPEC, rng=3, **overrides)
         assert faded.rows != awgn.rows
 
     def test_cli_scenario_records_overrides_in_manifest(
@@ -240,7 +242,7 @@ class TestScenarioRoundTrip:
         payload = json.loads(capsys.readouterr().out.strip())
         scenario = load_scenario(scenario_path)
         overrides = apply_scenario(table2_attack_awgn.SPEC, scenario)
-        direct = run_sweep(table2_attack_awgn.SPEC, overrides=overrides, rng=3)
+        direct = run_sweep(table2_attack_awgn.SPEC, rng=3, **overrides)
         assert payload["rows"] == direct.rows
 
     def test_scenario_checkpoint_resume_and_adaptive(
@@ -329,23 +331,26 @@ class TestScenarioValidation:
 
 
 class TestCapabilityMetadata:
-    def test_every_entry_declares_valid_capabilities(self):
+    """What an entry supports follows from its spec and trials_param."""
+
+    def test_sweep_entries_name_a_config_key_for_trials(self):
         for experiment_id in experiment_ids():
             entry = get_experiment(experiment_id)
-            assert entry.capabilities <= CAPABILITIES
-            if "scenario" in entry.capabilities:
-                assert entry.spec is not None
-                assert entry.spec.experiment_id == experiment_id
+            if entry.spec is None:
+                continue
+            assert entry.spec.experiment_id == experiment_id
+            if entry.trials_param is not None:
+                assert entry.trials_param in entry.spec.defaults
 
     def test_sweep_drivers_expose_their_specs(self):
         for experiment_id, module in DRIVERS.items():
             entry = get_experiment(experiment_id)
             assert entry.spec is module.SPEC
 
-    def test_undeclared_flag_exits_2_naming_capabilities(self, capsys):
+    def test_engine_flag_without_spec_exits_2_naming_the_flag(self, capsys):
         assert main(["run", "fig5", "--adaptive"]) == 2
         err = capsys.readouterr().err
-        assert "--adaptive" in err and "declared capabilities" in err
+        assert "--adaptive" in err and "fig5" in err
 
     def test_undeclared_scenario_flag_exits_2(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -354,15 +359,59 @@ class TestCapabilityMetadata:
         err = capsys.readouterr().err
         assert "--scenario" in err
 
+    def test_trials_flag_without_trials_param_exits_2(self, capsys):
+        assert main(["run", "fig12", "--trials", "5"]) == 2
+        assert "--trials" in capsys.readouterr().err
+
     def test_trials_flag_maps_to_declared_parameter(self, capsys):
         assert main(["run", "table3", "--trials", "2000", "--seed", "1",
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["experiment_id"] == "table3"
 
+    def test_run_all_applies_engine_flags_only_to_sweep_entries(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        monkeypatch.setattr(
+            cli_module, "experiment_ids", lambda: ["fig5", "table2"]
+        )
+        calls = []
+
+        def recording_run_sweep(spec, **kwargs):
+            calls.append((spec.experiment_id, kwargs))
+            return run_sweep(spec, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run_sweep", recording_run_sweep)
+        assert main(["run", "all", "--trials", "2", "--workers", "2",
+                     "--seed", "1", "--json"]) == 0
+        payloads = [json.loads(line) for line in
+                    capsys.readouterr().out.strip().splitlines()]
+        assert [p["experiment_id"] for p in payloads] == ["fig5", "table2"]
+        assert calls == [("table2", {"rng": 1, "trials": 2, "workers": 2})]
+
     def test_unknown_experiment_still_raises(self):
         with pytest.raises(ConfigurationError):
             main(["run", "table42"])
+
+
+class TestFlatConfig:
+    """``run`` takes config keys flat; the spec validates them."""
+
+    def test_unknown_key_lists_every_accepted_key(self):
+        with pytest.raises(ConfigurationError) as raised:
+            table2_attack_awgn.run(trial=5)
+        message = str(raised.value)
+        assert "'trial'" in message
+        for key in (*table2_attack_awgn.SPEC.defaults, *SCENARIO_CONFIG_KEYS):
+            assert repr(key) in message
+
+    def test_axis_grids_resolve_to_tuples(self):
+        spec = table2_attack_awgn.SPEC
+        assert spec.resolve_config({"snrs_db": [9, 15]})["snrs_db"] == (9, 15)
+        grid = (snr for snr in (9, 15))
+        assert spec.resolve_config({"snrs_db": grid})["snrs_db"] == (9, 15)
 
 
 class TestRunAllRecordsOneRunDirectory:
