@@ -8,6 +8,10 @@ drives the test:
     D_E^2 <  Q  ->  H0 (authentic ZigBee transmitter)
     D_E^2 >= Q  ->  H1 (WiFi waveform-emulation attacker)
 
+The test fails closed: a D_E^2 that is not finite (NaN chips, or a
+capture with no power, whose cumulants are undefined) is never below Q,
+so it is attributed to the attacker.
+
 The paper calibrates Q = 0.5 from 50 training waveforms per class; the
 same calibration is implemented by :func:`calibrate_threshold`.  In the
 real environment the frequency/phase offset rotates C40 by e^{j(df+th)},
@@ -145,10 +149,11 @@ class CumulantDetector:
             for estimate in estimates:
                 feature = self.feature_vector(estimate)
                 distance_squared = float(np.sum((feature - target) ** 2))
+                # Written as "< Q -> H0" so a NaN statistic fails closed.
                 hypothesis = (
-                    Hypothesis.WIFI_ATTACKER
-                    if distance_squared >= self.threshold
-                    else Hypothesis.ZIGBEE_TRANSMITTER
+                    Hypothesis.ZIGBEE_TRANSMITTER
+                    if distance_squared < self.threshold
+                    else Hypothesis.WIFI_ATTACKER
                 )
                 results.append(DetectionResult(
                     hypothesis=hypothesis,
@@ -196,7 +201,9 @@ class CumulantDetector:
         rectangular stack; within a group the constellation build and
         the moment reductions are vectorized along the last axis, so a
         row's result does not depend on the other rows.  Results and
-        per-decision telemetry come back in input order.
+        per-decision telemetry come back in input order.  A row with no
+        power or with non-finite chips gets a NaN statistic, and so the
+        attacker verdict, without disturbing the rest of the batch.
         """
         rows = [np.asarray(row, dtype=np.float64) for row in soft_chips_rows]
         if chip_noise_variances is None:
@@ -228,8 +235,12 @@ class CumulantDetector:
                         stack, replace(options, normalize=False)
                     )
                 total_power = np.mean(np.abs(raw) ** 2, axis=-1)
-                if np.any(total_power <= 0):
-                    raise ConfigurationError("constellation has no power")
+                usable = np.isfinite(total_power) & (total_power > 0)
+                if not usable.all():
+                    # Degenerate rows have no cumulants: NaN points carry
+                    # them to a NaN D_E^2, which _decide fails closed.
+                    raw = np.where(usable[:, None], raw, np.nan)
+                    total_power = np.where(usable, total_power, 1.0)
                 points = (
                     raw / np.sqrt(total_power)[:, None]
                     if options.normalize

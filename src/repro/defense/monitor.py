@@ -22,7 +22,7 @@ from repro.defense.sequential import (
     SequentialState,
 )
 from repro.errors import ConfigurationError
-from repro.zigbee.receiver import ReceivedPacket
+from repro.zigbee.receiver import CHIP_SOURCES, ReceivedPacket
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,10 @@ class AttackMonitor:
             cumulant detector on quadrature chips).
         sequential: cross-packet aggregator; when ``None``, each packet
             is judged alone against ``detector.threshold``.
-        chip_source: which receiver chip tap feeds the statistic.
+        chip_source: which receiver chip tap (one of
+            :data:`repro.zigbee.receiver.CHIP_SOURCES`) feeds the
+            statistic.  Kept as the ``chip_source`` attribute, so callers
+            receive with ``chips=(monitor.chip_source,)``.
         min_chips: packets with fewer PSDU chips are ignored.
         sticky: freeze a source once resolved (one alert per source).
             Disable to judge and alert on every packet — appropriate when
@@ -80,7 +83,7 @@ class AttackMonitor:
         noise_corrected: bool = False,
         samples_per_chip: int = 2,
     ):
-        if chip_source not in ("quadrature", "matched_filter"):
+        if chip_source not in CHIP_SOURCES:
             raise ConfigurationError(f"unknown chip source {chip_source!r}")
         if min_chips < 8:
             raise ConfigurationError("min_chips must be >= 8")

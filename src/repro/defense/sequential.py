@@ -108,10 +108,17 @@ class SequentialDetector:
         return float((h1 - h0) / (2.0 * self.log_std**2))
 
     def update(self, state: SequentialState, score: float) -> SequentialDecision:
-        """Fold one packet's statistic into the running test."""
-        state.log_likelihood_ratio += self.log_likelihood_ratio(score)
+        """Fold one packet's statistic into the running test.
+
+        A non-finite score fails closed: it returns ``ATTACK`` at once and
+        stays out of the running sum, which would otherwise turn NaN and
+        never cross either threshold again.
+        """
         state.packets_observed += 1
         state.history.append(score)
+        if not np.isfinite(score):
+            return SequentialDecision.ATTACK
+        state.log_likelihood_ratio += self.log_likelihood_ratio(score)
         if state.log_likelihood_ratio >= self.upper_threshold:
             return SequentialDecision.ATTACK
         if state.log_likelihood_ratio <= self.lower_threshold:

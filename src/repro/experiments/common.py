@@ -9,7 +9,7 @@ and the CLI can render the same tables the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,12 @@ from repro.errors import ConfigurationError
 from repro.telemetry import get_telemetry
 from repro.utils.rng import RngLike
 from repro.utils.signal_ops import Waveform, normalize_power
-from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
+from repro.zigbee.receiver import (
+    DEFAULT_CHIPS,
+    ReceivedPacket,
+    ReceiverConfig,
+    ZigBeeReceiver,
+)
 from repro.zigbee.transmitter import TransmitResult, ZigBeeTransmitter
 
 
@@ -176,6 +181,7 @@ def transmit_batch(
     snr_db: Optional[float],
     rngs: Sequence[np.random.Generator],
     channel_factory: Optional[Callable[..., Any]] = None,
+    chips: Tuple[str, ...] = DEFAULT_CHIPS,
 ) -> List[Optional[ReceivedPacket]]:
     """Noisy transmissions of a prepared waveform, one per RNG.
 
@@ -184,8 +190,10 @@ def transmit_batch(
     :class:`AwgnChannel` would; the stack then goes through the
     receiver's batched chain.  ``channel_factory`` (a scenario override;
     see :mod:`repro.experiments.sweep`) replaces the AWGN stage with
-    ``channel_factory(snr_db, rng)`` row by row.  ``None`` in the result
-    marks a lost synchronization.
+    ``channel_factory(snr_db, rng)`` row by row.  ``chips`` names the
+    chip sources the caller reads (see
+    :meth:`ZigBeeReceiver.receive_batch`).  ``None`` in the result marks
+    a lost synchronization.
     """
     telemetry = get_telemetry()
     if not rngs:
@@ -212,7 +220,9 @@ def transmit_batch(
                     stacked[row] = add_awgn(
                         normalized, snr_db, rng=generator, signal_power=1.0
                     )
-        packets = receiver.receive_batch(stacked, waveform.sample_rate_hz)
+        packets = receiver.receive_batch(
+            stacked, waveform.sample_rate_hz, chips=chips
+        )
         for packet in packets:
             if packet is None:
                 telemetry.count("experiment.sync_lost")

@@ -23,9 +23,12 @@ from repro.defense.detector import CumulantDetector, DetectionResult
 from repro.experiments.common import PreparedLink, transmit_batch
 from repro.experiments.engine import EngineSession
 from repro.utils.rng import RngLike
-from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
-
-CHIP_SOURCES = ("quadrature", "matched_filter")
+from repro.zigbee.receiver import (
+    CHIP_SOURCES,
+    ReceivedPacket,
+    ReceiverConfig,
+    ZigBeeReceiver,
+)
 
 
 def defense_receiver() -> ZigBeeReceiver:
@@ -88,10 +91,12 @@ def statistic_trial(
     ``args`` is ``(link_key, chip_source, noise_corrected, snr_db)``;
     ``context`` must map ``link_key`` to a :class:`PreparedLink` and hold
     ``"receiver"`` and ``"detector"``.  Receptions go through the
-    receiver's batched chain and all decoded packets are screened in one
-    :meth:`CumulantDetector.statistic_batch` call.  A row is ``None``
-    when its reception never reaches the defense (sync loss, decode
-    failure, or too few chips) — the paper's pipeline drops those too.
+    receiver's batched chain, computing only the ``chip_source`` tap
+    beyond what the receiver decodes from, and all decoded packets are
+    screened in one :meth:`CumulantDetector.statistic_batch` call.  A
+    row is ``None`` when its reception never reaches the defense (sync
+    loss, decode failure, or too few chips) — the paper's pipeline drops
+    those too.
     """
     link_key, chip_source, noise_corrected, snr_db = args
     prepared = context[link_key]
@@ -99,6 +104,7 @@ def statistic_trial(
     packets = transmit_batch(
         prepared, rx, snr_db, rngs,
         channel_factory=context.get("channel_factory"),
+        chips=(chip_source,),
     )
     detections = screen_packets(
         packets, context["detector"], chip_source, noise_corrected,
@@ -144,7 +150,9 @@ def screen_packets(
     loss, decode failure, or fewer than ``min_chips`` PSDU chips); every
     other row is screened in one :meth:`CumulantDetector.statistic_batch`
     call, with the receiver's noise-floor correction when
-    ``noise_corrected``.
+    ``noise_corrected``.  The receptions must have been made with
+    ``chips=(chip_source,)`` (or a superset) unless the receiver decodes
+    from ``chip_source`` anyway.
     """
     rows: List[Optional[DetectionResult]] = [None] * len(packets)
     eligible: List[int] = []

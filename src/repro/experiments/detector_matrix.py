@@ -59,7 +59,9 @@ def _statistics(
         channel_factory(generator).apply(prepared.on_air).samples
         for generator in spawn_rngs(rng, count)
     ])
-    packets = receiver.receive_batch(stacked, prepared.on_air.sample_rate_hz)
+    packets = receiver.receive_batch(
+        stacked, prepared.on_air.sample_rate_hz, chips=(variant.chip_source,)
+    )
     detections = screen_packets(
         packets, detector, variant.chip_source, variant.noise_corrected,
         receiver.config.samples_per_chip, min_chips=64,

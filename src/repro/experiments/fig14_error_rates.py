@@ -71,6 +71,7 @@ def _link_trial(
             context["env"], prepared, distance, rngs, extra_loss_db=loss_db
         ),
         prepared.on_air.sample_rate_hz,
+        chips=(),
     )
     return [
         None if packet is None else (

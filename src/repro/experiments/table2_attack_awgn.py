@@ -58,16 +58,18 @@ def _emulated_trial(
     """Noisy emulated transmissions: (delivered, screened, detected) per RNG.
 
     Decoded packets with at least 64 PSDU chips are screened by the
-    detector in one batched call.
+    detector in one batched call; the quadrature chips it reads are
+    computed only when a detector is set.
     """
     (snr,) = args
     prepared = context["emulated"]
     receiver = context["receiver"]
+    detector = context["detector"]
     packets = transmit_batch(
         prepared, receiver, snr, rngs,
         channel_factory=context.get("channel_factory"),
+        chips=() if detector is None else ("quadrature",),
     )
-    detector = context["detector"]
     detections = (
         [None] * len(packets) if detector is None else screen_packets(
             packets, detector, "quadrature", False,
@@ -104,7 +106,7 @@ def _authentic_trial(
     prepared = context["authentic"]
     packets = transmit_batch(
         prepared, context["receiver"], snr, rngs,
-        channel_factory=context.get("channel_factory"),
+        channel_factory=context.get("channel_factory"), chips=(),
     )
     return [packet_delivered(prepared, packet) for packet in packets]
 

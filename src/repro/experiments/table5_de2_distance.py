@@ -74,6 +74,7 @@ def _distance_trial(
     packets = receiver.receive_batch(
         propagate_batch(context["env"], prepared, distance, rngs),
         prepared.on_air.sample_rate_hz,
+        chips=(chip_source,),
     )
     detections = screen_packets(
         packets, context["detector"], chip_source, noise_corrected,

@@ -25,6 +25,7 @@ from repro.zigbee.oqpsk import (
     chips_to_constellation,
 )
 from repro.zigbee.receiver import (
+    CHIP_SOURCES,
     HEADER_SYMBOLS,
     ReceiveDiagnostics,
     ReceivedPacket,
@@ -44,6 +45,7 @@ from repro.zigbee.transmitter import TransmitResult, ZigBeeTransmitter
 __all__ = [
     "CHIPS_PER_SYMBOL",
     "CHIP_RATE_HZ",
+    "CHIP_SOURCES",
     "ChipSamples",
     "DEFAULT_CORRELATION_THRESHOLD",
     "DEFAULT_SAMPLES_PER_CHIP",

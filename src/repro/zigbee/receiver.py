@@ -7,12 +7,16 @@ The receiver keeps every intermediate product in
 :class:`ReceiveDiagnostics` because the paper's defense taps the *input*
 of the DSSS demodulation (the chip-rate soft samples) and its failed
 baseline strategies tap the phase trajectory and chip amplitudes.
+
+Receive calls are demand-driven: a reception runs the demodulator its
+own despreader decodes from plus the chip sources named in ``chips=``
+(default: the quadrature tap the defense reads), and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,6 +42,23 @@ from repro.zigbee.synchronizer import SyncResult, Synchronizer
 
 #: preamble (8) + SFD (2) + PHR (2) symbols precede the PSDU.
 HEADER_SYMBOLS = 12
+
+#: Chip taps a reception can expose: ``"quadrature"`` fills
+#: ``quadrature_soft_chips`` (frequency discriminator) and
+#: ``"matched_filter"`` fills ``soft_chips``/``hard_chips`` (coherent
+#: O-QPSK matched filter).
+CHIP_SOURCES = ("quadrature", "matched_filter")
+
+#: The chip sources a receive call exposes unless told otherwise: the
+#: quadrature tap the defense reads at the despreader input (Sec. VI-B).
+DEFAULT_CHIPS: Tuple[str, ...] = ("quadrature",)
+
+#: Which chip source fills each chip field of :class:`ReceiveDiagnostics`.
+_CHIP_FIELD_SOURCES = {
+    "soft_chips": "matched_filter",
+    "hard_chips": "matched_filter",
+    "quadrature_soft_chips": "quadrature",
+}
 
 
 @dataclass(frozen=True)
@@ -94,14 +115,15 @@ class ReceiveDiagnostics:
     builds per-symbol objects; the list views the rest of the codebase
     consumes (``decisions``/``symbols``/``hamming_distances``) are
     materialized lazily from those arrays.
+
+    ``chip_arrays`` maps each computed chip field (``soft_chips``,
+    ``hard_chips``, ``quadrature_soft_chips``) to its array; a field
+    whose chip source the reception did not compute is absent, and
+    reading it raises :class:`ConfigurationError`.
     """
 
     sync: Optional[SyncResult]
-    soft_chips: np.ndarray
-    hard_chips: np.ndarray
-    quadrature_soft_chips: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.float64)
-    )
+    chip_arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     noise_variance: Optional[float] = None
     symbol_array: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
@@ -113,6 +135,32 @@ class ReceiveDiagnostics:
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
     psdu_symbol_offset: int = HEADER_SYMBOLS
+
+    def _chips(self, name: str) -> np.ndarray:
+        try:
+            return self.chip_arrays[name]
+        except KeyError:
+            source = _CHIP_FIELD_SOURCES[name]
+            raise ConfigurationError(
+                f"{name} needs the {source!r} chip source, which this "
+                f"reception did not compute; request it with "
+                f"chips=(..., {source!r}) on the receive call"
+            ) from None
+
+    @property
+    def soft_chips(self) -> np.ndarray:
+        """Matched-filter soft chips (the ``"matched_filter"`` source)."""
+        return self._chips("soft_chips")
+
+    @property
+    def hard_chips(self) -> np.ndarray:
+        """Matched-filter chip decisions (the ``"matched_filter"`` source)."""
+        return self._chips("hard_chips")
+
+    @property
+    def quadrature_soft_chips(self) -> np.ndarray:
+        """Frequency-discriminator soft chips (the ``"quadrature"`` source)."""
+        return self._chips("quadrature_soft_chips")
 
     @property
     def decisions(self) -> List[DespreadDecision]:
@@ -205,7 +253,10 @@ class ZigBeeReceiver:
         return Waveform(baseband[0], self.sample_rate_hz)
 
     def demodulate_chips(
-        self, waveform: Waveform, known_start: Optional[int] = None
+        self,
+        waveform: Waveform,
+        known_start: Optional[int] = None,
+        chips: Tuple[str, ...] = DEFAULT_CHIPS,
     ) -> ReceiveDiagnostics:
         """Synchronize and demodulate chips without any frame parsing.
 
@@ -215,29 +266,36 @@ class ZigBeeReceiver:
             waveform: received baseband (any rate >= native).
             known_start: genie timing — skip packet detection and use this
                 sample index (at the native rate) as the frame start.
+            chips: chip sources (from :data:`CHIP_SOURCES`) the caller
+                reads, on top of the one the despreader decodes from.
 
         Raises:
             SynchronizationError: no frame was detected.
         """
         rows, reasons = self._demodulate_rows(
             waveform.samples[np.newaxis, :], waveform.sample_rate_hz,
-            known_start,
+            known_start, chips,
         )
         if rows[0] is None:
             raise SynchronizationError(reasons[0])
         return rows[0]
 
     def receive(
-        self, waveform: Waveform, known_start: Optional[int] = None
+        self,
+        waveform: Waveform,
+        known_start: Optional[int] = None,
+        chips: Tuple[str, ...] = DEFAULT_CHIPS,
     ) -> ReceivedPacket:
         """Full packet reception: sync, demodulate, despread, parse, FCS.
+
+        ``chips`` is as in :meth:`demodulate_chips`.
 
         Raises:
             SynchronizationError: no frame was detected.
         """
         packets, reasons = self._receive_rows(
             waveform.samples[np.newaxis, :], waveform.sample_rate_hz,
-            known_start,
+            known_start, chips,
         )
         if packets[0] is None:
             raise SynchronizationError(reasons[0])
@@ -286,11 +344,10 @@ class ZigBeeReceiver:
         statistics with garbage "symbols".
         """
         num_chips = num_symbols * CHIPS_PER_SYMBOL
-        diagnostics.soft_chips = diagnostics.soft_chips[:num_chips]
-        diagnostics.hard_chips = diagnostics.hard_chips[:num_chips]
-        diagnostics.quadrature_soft_chips = diagnostics.quadrature_soft_chips[
-            :num_chips
-        ]
+        diagnostics.chip_arrays = {
+            name: array[:num_chips]
+            for name, array in diagnostics.chip_arrays.items()
+        }
         diagnostics.symbol_array = diagnostics.symbol_array[:num_symbols]
         diagnostics.distance_array = diagnostics.distance_array[:num_symbols]
         diagnostics.runner_distance_array = diagnostics.runner_distance_array[
@@ -302,6 +359,7 @@ class ZigBeeReceiver:
         samples: np.ndarray,
         sample_rate_hz: float,
         known_start: Optional[int] = None,
+        chips: Tuple[str, ...] = DEFAULT_CHIPS,
     ) -> List[Optional[ReceivedPacket]]:
         """Full packet reception over a (batch, n) stack of captures.
 
@@ -311,21 +369,24 @@ class ZigBeeReceiver:
         kernels reduce along the sample axis only, and rows are regrouped
         by detected frame start so every aligned stack stays rectangular;
         each row's packet is the one a batch holding that row alone
-        produces.
+        produces.  ``chips`` is as in :meth:`demodulate_chips`.
         """
-        return self._receive_rows(samples, sample_rate_hz, known_start)[0]
+        return self._receive_rows(
+            samples, sample_rate_hz, known_start, chips
+        )[0]
 
     def _receive_rows(
         self,
         samples: np.ndarray,
         sample_rate_hz: float,
         known_start: Optional[int],
+        chips: Tuple[str, ...],
     ) -> Tuple[List[Optional[ReceivedPacket]], List[Optional[str]]]:
         """Packets per row, plus the sync-failure reason of ``None`` rows."""
         telemetry = get_telemetry()
         with telemetry.span("zigbee.receive"):
             rows, reasons = self._demodulate_rows(
-                samples, sample_rate_hz, known_start
+                samples, sample_rate_hz, known_start, chips
             )
             packets = [
                 None if diagnostics is None else self._parse_packet(diagnostics)
@@ -352,6 +413,7 @@ class ZigBeeReceiver:
         samples: np.ndarray,
         sample_rate_hz: float,
         known_start: Optional[int],
+        chips: Tuple[str, ...],
     ) -> Tuple[List[Optional[ReceiveDiagnostics]], List[Optional[str]]]:
         """Channelize, synchronize, demodulate and despread every row.
 
@@ -359,6 +421,14 @@ class ZigBeeReceiver:
         row failed packet detection) and the synchronizer's failure
         reason for each ``None`` row.
         """
+        if isinstance(chips, str) or any(
+            source not in CHIP_SOURCES for source in chips
+        ):
+            raise ConfigurationError(
+                f"chips must be a tuple drawn from {CHIP_SOURCES}, "
+                f"got {chips!r}"
+            )
+        sources = {self.config.demodulation, *chips}
         telemetry = get_telemetry()
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 2:
@@ -389,7 +459,9 @@ class ZigBeeReceiver:
             if sync is not None:
                 groups.setdefault(sync.start_index, []).append(row)
         for start, members in groups.items():
-            self._demodulate_group(baseband, syncs, start, members, rows)
+            self._demodulate_group(
+                baseband, syncs, start, members, rows, sources
+            )
         return rows, [reason for _, reason in outcomes]
 
     def _demodulate_group(
@@ -399,8 +471,12 @@ class ZigBeeReceiver:
         start: int,
         members: List[int],
         rows: List[Optional[ReceiveDiagnostics]],
+        sources: Set[str],
     ) -> None:
-        """Demodulate and despread one equal-start row group."""
+        """Demodulate and despread one equal-start row group.
+
+        Only the demodulators of the chip sources in ``sources`` run.
+        """
         telemetry = get_telemetry()
         idx = np.asarray(members, dtype=np.intp)
         group = baseband[idx]
@@ -420,14 +496,19 @@ class ZigBeeReceiver:
 
         capacity = self._demodulator.capacity(aligned_len)
         target = (capacity // CHIPS_PER_SYMBOL) * CHIPS_PER_SYMBOL
+        quad_target = min(target, self._quadrature.capacity(aligned_len))
+        stacks: Dict[str, np.ndarray] = {}
         with telemetry.span("zigbee.demodulate"):
-            soft, hard = self._demodulator.demodulate_batch(
-                aligned, target, phase_tracking=self.config.phase_tracking
-            )
-            quad_target = min(target, self._quadrature.capacity(aligned_len))
-            quad_soft, quad_hard = self._quadrature.demodulate_batch(
-                aligned, quad_target
-            )
+            if "matched_filter" in sources:
+                soft, hard = self._demodulator.demodulate_batch(
+                    aligned, target, phase_tracking=self.config.phase_tracking
+                )
+                stacks.update(soft_chips=soft, hard_chips=hard)
+            if "quadrature" in sources:
+                quad_soft, quad_hard = self._quadrature.demodulate_batch(
+                    aligned, quad_target
+                )
+                stacks["quadrature_soft_chips"] = quad_soft
         with telemetry.span("zigbee.despread"):
             if self.config.demodulation == "quadrature":
                 whole = (quad_target // CHIPS_PER_SYMBOL) * CHIPS_PER_SYMBOL
@@ -448,9 +529,9 @@ class ZigBeeReceiver:
         for position, row in enumerate(members):
             rows[row] = ReceiveDiagnostics(
                 sync=syncs[row],
-                soft_chips=soft[position],
-                hard_chips=hard[position],
-                quadrature_soft_chips=quad_soft[position],
+                chip_arrays={
+                    name: stack[position] for name, stack in stacks.items()
+                },
                 noise_variance=(
                     float(noise[position]) if noise is not None else None
                 ),

@@ -16,7 +16,7 @@ import pytest
 from repro.defense.detector import CumulantDetector
 from repro.experiments import table5_de2_distance
 from repro.experiments.common import prepare_authentic
-from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
+from repro.zigbee.receiver import CHIP_SOURCES, ReceiverConfig, ZigBeeReceiver
 
 TALL = 64
 ELISION_BYTES = 256 * 1024
@@ -80,11 +80,13 @@ class TestReceiveBatch:
         stack = _noisy_rows(on_air.samples, TALL, 0.3, seed=2)
         assert stack.nbytes > ELISION_BYTES
 
-        batched = receiver.receive_batch(stack, on_air.sample_rate_hz)
+        batched = receiver.receive_batch(
+            stack, on_air.sample_rate_hz, chips=CHIP_SOURCES
+        )
         assert sum(packet is not None for packet in batched) > TALL // 2
         for row, packet in zip(stack, batched):
             (alone,) = receiver.receive_batch(
-                row[np.newaxis, :], on_air.sample_rate_hz
+                row[np.newaxis, :], on_air.sample_rate_hz, chips=CHIP_SOURCES
             )
             if alone is None:
                 assert packet is None

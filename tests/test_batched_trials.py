@@ -120,7 +120,7 @@ class TestKernelEquivalence:
     def test_receive_batch_matches_scalar(self):
         from repro.channel.awgn import add_awgn
         from repro.experiments.common import prepare_emulated
-        from repro.zigbee.receiver import ZigBeeReceiver
+        from repro.zigbee.receiver import CHIP_SOURCES, ZigBeeReceiver
 
         prepared = prepare_emulated(rng=3)
         receiver = ZigBeeReceiver()
@@ -130,11 +130,13 @@ class TestKernelEquivalence:
             for _ in range(6)
         ])
         packets = receiver.receive_batch(
-            stacked, prepared.on_air.sample_rate_hz
+            stacked, prepared.on_air.sample_rate_hz, chips=CHIP_SOURCES
         )
         for row, packet in zip(stacked, packets):
             try:
-                scalar = receiver.receive(prepared.on_air.with_samples(row))
+                scalar = receiver.receive(
+                    prepared.on_air.with_samples(row), chips=CHIP_SOURCES
+                )
             except Exception:
                 assert packet is None
                 continue

@@ -105,6 +105,53 @@ class TestDetector:
         assert result.feature.shape == (2,)
 
 
+class TestFailClosed:
+    """Degenerate rows get the attacker verdict; their neighbours do not move."""
+
+    def _batch(self):
+        rng = np.random.default_rng(4)
+        good = [
+            _clean_chips(512, seed=5) + 0.2 * rng.standard_normal(512),
+            rng.uniform(-1, 1, 512),
+            _clean_chips(256, seed=6),
+        ]
+        nan_row = _clean_chips(512, seed=7)
+        nan_row[17] = np.nan
+        inf_row = _clean_chips(512, seed=8)
+        inf_row[3] = np.inf
+        zero_row = np.zeros(512)
+        rows = [good[0], nan_row, good[1], inf_row, zero_row, good[2]]
+        return rows, {0: good[0], 2: good[1], 5: good[2]}, (1, 3, 4)
+
+    @pytest.mark.parametrize("noise_corrected", [False, True])
+    def test_degenerate_rows_in_a_batch(self, noise_corrected):
+        rows, good, degenerate = self._batch()
+        variances = [0.01 if noise_corrected else None] * len(rows)
+        detector = CumulantDetector()
+        results = detector.statistic_batch(rows, variances)
+        assert len(results) == len(rows)
+        for index in degenerate:
+            assert results[index].hypothesis is Hypothesis.WIFI_ATTACKER
+            assert not np.isfinite(results[index].distance_squared)
+        for index, chips in good.items():
+            alone = detector.statistic(chips, variances[index])
+            assert results[index].hypothesis == alone.hypothesis
+            assert results[index].distance_squared == alone.distance_squared
+            assert np.array_equal(results[index].feature, alone.feature)
+
+    def test_all_zero_row_alone_is_an_attack(self):
+        result = CumulantDetector().statistic(np.zeros(128))
+        assert result.is_attack
+        assert np.isnan(result.distance_squared)
+
+    def test_nan_statistic_classifies_as_attacker(self):
+        points = reconstruct_constellation(_clean_chips(512))
+        points[0] = np.nan
+        result = CumulantDetector().statistic_from_points(points)
+        assert np.isnan(result.distance_squared)
+        assert result.hypothesis is Hypothesis.WIFI_ATTACKER
+
+
 class TestThresholdCalibration:
     def test_threshold_between_populations(self):
         threshold = calibrate_threshold([0.01, 0.02, 0.05], [1.2, 1.5, 2.0])

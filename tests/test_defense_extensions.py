@@ -164,6 +164,24 @@ class TestSequentialDetector:
         with pytest.raises(ConfigurationError):
             SequentialDetector(h0_log_mean=0.0, h1_log_mean=-1.0)
 
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_fails_closed(self, score):
+        detector = self._detector()
+        state = SequentialState()
+        assert detector.update(state, 0.01) is SequentialDecision.CONTINUE
+        before = state.log_likelihood_ratio
+        assert detector.update(state, score) is SequentialDecision.ATTACK
+        assert state.log_likelihood_ratio == before
+        assert state.packets_observed == 2
+        # The running sum stays usable: authentic evidence still resolves.
+        decision, _ = detector.run([score])
+        assert decision is SequentialDecision.ATTACK
+        for _ in range(10):
+            decision = detector.update(state, 0.005)
+            if decision is not SequentialDecision.CONTINUE:
+                break
+        assert decision is SequentialDecision.AUTHENTIC
+
     def test_state_tracks_history(self):
         detector = self._detector()
         state = SequentialState()
