@@ -19,23 +19,30 @@ from repro.defense.features import extended_feature
 from repro.defense.roc import roc_curve
 from repro.defense.sequential import SequentialDecision, SequentialDetector
 from repro.experiments.common import prepare_authentic, prepare_emulated
-from repro.experiments.defense_common import collect_statistics, defense_receiver
+from repro.experiments.defense_common import defense_receiver, statistic_trial
 from repro.utils.rng import spawn_rngs
 
 
 @pytest.fixture(scope="module")
 def score_populations():
     """Per-SNR D_E^2 scores for both classes (shared by the benches)."""
-    detector = CumulantDetector()
-    authentic = prepare_authentic()
-    emulated = prepare_emulated()
+    context = {
+        "zigbee": prepare_authentic(),
+        "emulated": prepare_emulated(),
+        "receiver": defense_receiver(),
+        "detector": CumulantDetector(),
+    }
+
+    def scores(link_key, snr, seed):
+        args = (link_key, "quadrature", False, snr, "de2")
+        rows = statistic_trial(context, args, spawn_rngs(seed, 12))
+        return [row for row in rows if row is not None]
+
     populations = {}
     for i, snr in enumerate((7, 12, 17)):
-        h0 = [s.distance_squared for s in collect_statistics(
-            authentic, detector, snr, 12, rng=100 + i)]
-        h1 = [s.distance_squared for s in collect_statistics(
-            emulated, detector, snr, 12, rng=200 + i)]
-        populations[snr] = (h0, h1)
+        populations[snr] = (
+            scores("zigbee", snr, 100 + i), scores("emulated", snr, 200 + i)
+        )
     return populations
 
 

@@ -55,13 +55,12 @@ ENGINE_WIRING_NAMES = {
 }
 
 #: Path suffixes allowed to touch the engine-wiring primitives: the
-#: sweep runner itself, the layers it is built from, the throughput
-#: bench, and the package facade that re-exports the public names.
+#: sweep runner itself, the layers it is built from, and the package
+#: facade that re-exports the public names.
 ENGINE_WIRING_HOMES = (
     "repro/experiments/sweep.py",
     "repro/experiments/engine.py",
     "repro/experiments/checkpoint.py",
-    "repro/experiments/bench.py",
     "repro/experiments/__init__.py",
 )
 

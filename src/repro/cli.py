@@ -126,24 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=[7.0, 12.0, 17.0], help="SNR grid in dB")
     dataset.add_argument("--seed", type=int, default=0)
 
-    bench = subparsers.add_parser(
-        "bench-engine",
-        help="measure Monte Carlo engine throughput (serial vs parallel) "
-             "and write a JSON baseline",
-    )
-    bench.add_argument("--experiment", default="table2",
-                       help="engine-backed experiment id (default: table2)")
-    bench.add_argument("--trials", type=int, default=200)
-    bench.add_argument("--workers", type=int, default=None,
-                       help="parallel-leg worker count "
-                            "(default: min(4, host CPUs))")
-    bench.add_argument("--chunk-size", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--no-adaptive", action="store_true",
-                       help="skip the adaptive precision-targeted leg")
-    bench.add_argument("--out", default=None,
-                       help="baseline path (default: BENCH_engine.json)")
-
     lint = subparsers.add_parser(
         "lint",
         help="run reprolint, the AST invariant checker (rules R001-R012)",
@@ -304,7 +286,7 @@ def _generate_dataset(out: str, per_class: int, snrs, seed: int) -> None:
             for packet in packets:
                 if packet is None or not packet.decoded:
                     continue
-                chips = packet.diagnostics.psdu_quadrature_soft_chips
+                chips = packet.diagnostics.psdu_chips("quadrature")
                 if chips.size < 64:
                     continue
                 points = reconstruct_constellation(chips)
@@ -652,25 +634,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.analysis.cli import execute as lint_execute
 
         return lint_execute(args)
-    if args.command == "bench-engine":
-        from repro.experiments.bench import (
-            DEFAULT_BASELINE_PATH,
-            write_engine_baseline,
-        )
-
-        out = args.out or DEFAULT_BASELINE_PATH
-        baseline = write_engine_baseline(
-            path=out,
-            experiment_id=args.experiment,
-            trials=args.trials,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            seed=args.seed,
-            adaptive=not args.no_adaptive,
-        )
-        print(json.dumps(baseline, indent=2))
-        print(f"[engine baseline written to {out}]")
-        return 0 if baseline["rows_identical"] else 1
     if args.command == "report":
         import os
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.defense.detector import CumulantDetector, DetectionResult
 from repro.defense.sequential import (
     SequentialDecision,
@@ -101,12 +99,6 @@ class AttackMonitor:
         """Monitoring state per observed source address."""
         return dict(self._sources)
 
-    def _chips(self, packet: ReceivedPacket) -> np.ndarray:
-        diagnostics = packet.diagnostics
-        if self.chip_source == "quadrature":
-            return diagnostics.psdu_quadrature_soft_chips
-        return diagnostics.psdu_soft_chips
-
     def observe(self, packet: ReceivedPacket) -> Optional[MonitorAlert]:
         """Fold one received packet into the monitor.
 
@@ -116,7 +108,7 @@ class AttackMonitor:
         """
         if packet.mac_frame is None or not packet.decoded:
             return None
-        chips = self._chips(packet)
+        chips = packet.diagnostics.psdu_chips(self.chip_source)
         if chips.size < self.min_chips:
             return None
         source = packet.mac_frame.source
@@ -124,15 +116,13 @@ class AttackMonitor:
         if self.sticky and record.resolved is not None:
             return None
 
-        chip_noise: Optional[float] = None
-        if self.noise_corrected and self.chip_source == "matched_filter":
-            sample_variance = packet.diagnostics.noise_variance
-            if sample_variance is not None:
-                from repro.zigbee.halfsine import pulse_energy
-
-                chip_noise = sample_variance / (
-                    2.0 * pulse_energy(self.samples_per_chip)
-                )
+        chip_noise = (
+            packet.diagnostics.chip_noise_variance(
+                self.chip_source, self.samples_per_chip
+            )
+            if self.noise_corrected
+            else None
+        )
         result: DetectionResult = self.detector.statistic(
             chips, chip_noise_variance=chip_noise
         )

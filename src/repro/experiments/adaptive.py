@@ -1,6 +1,6 @@
 """Adaptive, precision-targeted Monte Carlo trial allocation.
 
-The paper's headline numbers (Tables II/IV/V, Figs. 12-14) are Monte
+The paper's headline numbers (Tables II/IV/V, Figs. 7, 10-14) are Monte
 Carlo estimates — error rates and averaged D_E^2 distances — and a
 fixed per-point trial budget spends the same effort on a 17 dB point
 whose success rate pins to 1.0 after a couple dozen trials as on a

@@ -1,6 +1,6 @@
 """Crash-safe checkpointing for Monte Carlo sweeps.
 
-Paper-scale campaigns (Tables II, IV, V; Figs. 12-14) are hours of
+Paper-scale campaigns (Tables II, IV, V; Figs. 7, 10-14) are hours of
 independent trial streams; a killed process should cost the stream that
 was in flight, not the campaign.  :class:`CheckpointStore` persists one
 JSON document per finished stream under a caller-chosen directory

@@ -1,4 +1,4 @@
-"""Shared plumbing for the defense experiments (Tables IV-V, Figs. 10-12).
+"""Shared plumbing for the defense experiments (Tables IV-V, Figs. 7, 10-12).
 
 The defense taps the receiver's chip-rate soft samples over the PSDU.
 Experiments default to the quadrature (frequency-discriminator) samples —
@@ -6,29 +6,38 @@ the signal GNU Radio's receiver exposes and by far the more sensitive
 probe of the attack's cyclic-prefix discontinuities; ``chip_source``
 switches to the coherent matched-filter samples for ablations.
 
-The sweep experiments (Tables IV-V, Fig. 12) declare these trials in
-their :class:`repro.experiments.sweep.SweepSpec` plans; this module
-holds only the trial functions and pure reductions, with no engine,
-checkpoint, or adaptive wiring of its own.
+The sweep experiments (Table IV, Figs. 7, 10-12) declare these trials,
+plans and contexts in their :class:`repro.experiments.sweep.SweepSpec`;
+this module holds only those declarations and pure reductions, with no
+engine, checkpoint, or adaptive wiring of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.defense.detector import CumulantDetector, DetectionResult
-from repro.experiments.common import PreparedLink, transmit_batch
-from repro.experiments.engine import EngineSession
-from repro.utils.rng import RngLike
-from repro.zigbee.receiver import (
-    CHIP_SOURCES,
-    ReceivedPacket,
-    ReceiverConfig,
-    ZigBeeReceiver,
+from repro.errors import ConfigurationError
+from repro.experiments.common import (
+    prepare_authentic,
+    prepare_emulated,
+    transmit_batch,
 )
+from repro.experiments.sweep import (
+    PointSpec,
+    StreamSpec,
+    SweepPlan,
+    SweepReduction,
+    resolve_channel_factory,
+    resolve_receiver,
+)
+from repro.zigbee.receiver import ReceivedPacket, ReceiverConfig, ZigBeeReceiver
+
+#: The two waveform classes of the SNR-axis defense sweeps, in RNG-slot
+#: order: context keys of the authentic and emulated prepared links.
+CLASSES = ("zigbee", "emulated")
 
 
 def defense_receiver() -> ZigBeeReceiver:
@@ -36,73 +45,99 @@ def defense_receiver() -> ZigBeeReceiver:
     return ZigBeeReceiver(ReceiverConfig(demodulation="matched_filter"))
 
 
-def extract_chips(packet, chip_source: str) -> np.ndarray:
-    """PSDU chip samples of the requested kind from one reception."""
-    if chip_source == "quadrature":
-        return packet.diagnostics.psdu_quadrature_soft_chips
-    if chip_source == "matched_filter":
-        return packet.diagnostics.psdu_soft_chips
-    raise ValueError(f"unknown chip source {chip_source!r}")
+def defense_context(
+    config: Mapping[str, Any], base: np.random.Generator
+) -> Dict[str, Any]:
+    """Engine context of the SNR-axis defense sweeps.
 
-
-@dataclass
-class StatisticSample:
-    """One defense observation: the statistic and its provenance."""
-
-    distance_squared: float
-    detection: DetectionResult
-    snr_db: Optional[float]
-
-
-def matched_filter_chip_noise_variance(
-    sample_noise_variance: float, samples_per_chip: int = 2
-) -> float:
-    """Noise power per matched-filter soft chip given per-sample noise.
-
-    The soft chip is ``sum(Re(r) p) / E_p`` over one pulse, so complex
-    sample noise of variance ``sigma^2`` contributes ``sigma^2 / (2 E_p)``.
+    Both prepared links (keyed by :data:`CLASSES`), the defense receiver
+    (or the scenario's profile) and the scenario channel factory
+    (``None`` for plain AWGN).
     """
-    from repro.zigbee.halfsine import pulse_energy
+    return {
+        "zigbee": prepare_authentic(),
+        "emulated": prepare_emulated(rng=base),
+        "receiver": resolve_receiver(config, "defense"),
+        "channel_factory": resolve_channel_factory(config),
+    }
 
-    return sample_noise_variance / (2.0 * pulse_energy(samples_per_chip))
 
+def snr_class_plan(
+    config: Mapping[str, Any], chip_source: str, statistic: str
+) -> SweepPlan:
+    """Table IV's layout: per SNR point, one stream per class.
 
-def chip_noise_variance_for(
-    packet, chip_source: str, samples_per_chip: int = 2
-) -> Optional[float]:
-    """Chip-domain noise variance from a reception's noise-floor estimate.
-
-    Only meaningful for the (linear) matched-filter source; the quadrature
-    discriminator is non-linear in the noise, so no subtraction applies.
+    Point ``i`` holds a ``snr<snr>.<class>`` stream per :data:`CLASSES`
+    entry ``j`` at RNG slot ``2 * i + j`` with budget
+    ``waveforms_per_point``; each is a :func:`statistic_trial`
+    reporting ``statistic`` on the ``chip_source`` tap.
     """
-    sample_variance = packet.diagnostics.noise_variance
-    if sample_variance is None or chip_source != "matched_filter":
-        return None
-    return matched_filter_chip_noise_variance(sample_variance, samples_per_chip)
+    snrs = list(config["snrs_db"])
+    points = []
+    for i, snr in enumerate(snrs):
+        streams = tuple(
+            StreamSpec(
+                key=f"snr{snr:g}.{label}", rng_slot=2 * i + j,
+                budget=config["waveforms_per_point"], trial=statistic_trial,
+                static_args=(label, chip_source, False, snr, statistic),
+            )
+            for j, label in enumerate(CLASSES)
+        )
+        points.append(PointSpec(
+            key=f"snr{snr:g}", streams=streams, meta={"snr_db": snr},
+        ))
+    return SweepPlan(points=tuple(points), rng_slots=2 * len(snrs))
+
+
+def class_means(
+    reduction: SweepReduction, point: PointSpec
+) -> Tuple[Dict[str, float], int]:
+    """Per-class mean of one :func:`snr_class_plan` point, and its trials."""
+    outcomes = [reduction.outcomes[f"{point.key}.{label}"] for label in CLASSES]
+    means = {
+        label: mean_or_nan(outcome.values)
+        for label, outcome in zip(CLASSES, outcomes)
+    }
+    return means, sum(outcome.trials_used for outcome in outcomes)
+
+
+def _statistic_value(detection: DetectionResult, statistic: str) -> float:
+    if statistic == "de2":
+        return float(detection.distance_squared)
+    if statistic == "c42":
+        return float(detection.cumulants.c42_hat)
+    if statistic == "c40":
+        return float(np.real(detection.cumulants.c40_hat))
+    raise ConfigurationError(
+        f"statistic must be 'de2', 'c42' or 'c40', got {statistic!r}"
+    )
 
 
 def statistic_trial(
     context: Dict[str, Any],
     args: Tuple[Any, ...],
     rngs: List[np.random.Generator],
-) -> List[Optional[StatisticSample]]:
+) -> List[Optional[float]]:
     """Engine trial: noisy receptions screened by the detector, one per RNG.
 
-    ``args`` is ``(link_key, chip_source, noise_corrected, snr_db)``;
-    ``context`` must map ``link_key`` to a :class:`PreparedLink` and hold
-    ``"receiver"`` and ``"detector"``.  Receptions go through the
-    receiver's batched chain, computing only the ``chip_source`` tap
-    beyond what the receiver decodes from, and all decoded packets are
-    screened in one :meth:`CumulantDetector.statistic_batch` call.  A
-    row is ``None`` when its reception never reaches the defense (sync
-    loss, decode failure, or too few chips) — the paper's pipeline drops
+    ``args`` is ``(link_key, chip_source, noise_corrected, snr_db,
+    statistic)``, where ``statistic`` picks what a row reports: the
+    detector's D_E^2 (``"de2"``), its normalized C42 (``"c42"``), or the
+    real part of its normalized C40 (``"c40"``).  ``context`` must map
+    ``link_key`` to a :class:`PreparedLink` and hold ``"receiver"`` and
+    ``"detector"``.  Receptions go through the receiver's batched chain,
+    computing only the ``chip_source`` tap beyond what the receiver
+    decodes from, and all decoded packets are screened in one
+    :meth:`CumulantDetector.statistic_batch` call.  A row is the
+    statistic as a plain float, so it survives a checkpoint exactly, or
+    ``None`` when its reception never reaches the defense (sync loss,
+    decode failure, or too few chips) — the paper's pipeline drops
     those too.
     """
-    link_key, chip_source, noise_corrected, snr_db = args
-    prepared = context[link_key]
+    link_key, chip_source, noise_corrected, snr_db, statistic = args
     rx = context["receiver"]
     packets = transmit_batch(
-        prepared, rx, snr_db, rngs,
+        context[link_key], rx, snr_db, rngs,
         channel_factory=context.get("channel_factory"),
         chips=(chip_source,),
     )
@@ -111,28 +146,8 @@ def statistic_trial(
         rx.config.samples_per_chip,
     )
     return [
-        None if detection is None else StatisticSample(
-            distance_squared=detection.distance_squared,
-            detection=detection,
-            snr_db=snr_db,
-        )
+        None if detection is None else _statistic_value(detection, statistic)
         for detection in detections
-    ]
-
-
-def distance_trial(
-    context: Dict[str, Any],
-    args: Tuple[Any, ...],
-    rngs: List[np.random.Generator],
-) -> List[Optional[float]]:
-    """:func:`statistic_trial` reduced to its D_E^2, one per RNG.
-
-    The sweep drivers checkpoint raw trial rows, so their trials return
-    plain floats (``None`` when the reception never reached the defense).
-    """
-    return [
-        None if sample is None else float(sample.distance_squared)
-        for sample in statistic_trial(context, args, rngs)
     ]
 
 
@@ -161,13 +176,15 @@ def screen_packets(
     for index, packet in enumerate(packets):
         if packet is None or not packet.decoded:
             continue
-        chips = extract_chips(packet, chip_source)
+        chips = packet.diagnostics.psdu_chips(chip_source)
         if chips.size < min_chips:
             continue
         eligible.append(index)
         chips_rows.append(chips)
         variances.append(
-            chip_noise_variance_for(packet, chip_source, samples_per_chip)
+            packet.diagnostics.chip_noise_variance(
+                chip_source, samples_per_chip
+            )
             if noise_corrected
             else None
         )
@@ -176,58 +193,6 @@ def screen_packets(
         for index, detection in zip(eligible, detections):
             rows[index] = detection
     return rows
-
-
-def collect_statistics(
-    prepared: Optional[PreparedLink],
-    detector: Optional[CumulantDetector],
-    snr_db: Optional[float],
-    count: int,
-    rng: RngLike = None,
-    receiver: Optional[ZigBeeReceiver] = None,
-    chip_source: str = "quadrature",
-    noise_corrected: bool = False,
-    session: Optional[EngineSession] = None,
-    link_key: str = "link",
-) -> List[StatisticSample]:
-    """Gather D_E^2 over ``count`` independent noisy receptions.
-
-    Receptions that fail to synchronize or decode are skipped (they never
-    reach the defense in the paper's pipeline either).
-
-    Args:
-        noise_corrected: apply the paper's noise-variance subtraction
-            using the receiver's per-packet noise-floor estimate
-            (matched-filter chip source only).
-        session: an open :class:`EngineSession` whose context already
-            holds the link(s), receiver, and detector; trials then run on
-            the engine (possibly in worker processes) and ``prepared`` /
-            ``detector`` / ``receiver`` are ignored.
-        link_key: which context entry carries the link under ``session``.
-    """
-    from repro.experiments.sweep import standalone_session
-
-    if chip_source not in CHIP_SOURCES:
-        raise ValueError(f"chip_source must be one of {CHIP_SOURCES}")
-    static_args = (link_key, chip_source, noise_corrected, snr_db)
-    if session is None:
-        context = {
-            link_key: prepared,
-            "receiver": receiver or defense_receiver(),
-            "detector": detector,
-        }
-        session = standalone_session(context)
-    samples = session.run(
-        statistic_trial, count, rng=rng, static_args=static_args
-    )
-    return [sample for sample in samples if sample is not None]
-
-
-def mean_distance_squared(samples: Sequence[StatisticSample]) -> float:
-    """Average D_E^2 over a sample set (paper's Tables IV and V)."""
-    if not samples:
-        return float("nan")
-    return float(np.mean([s.distance_squared for s in samples]))
 
 
 def mean_or_nan(values: Sequence[float]) -> float:

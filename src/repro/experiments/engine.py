@@ -57,7 +57,8 @@ workers instead of discarding hours of completed points:
   the sweep must still reproduce the unfaulted rows (CI runs exactly
   this drill).
 
-Usage::
+Usage (in the package only :func:`repro.experiments.sweep.run_sweep`
+builds an engine; reprolint R012 keeps it that way)::
 
     engine = MonteCarloEngine(workers=4, chunk_size=25)
     with engine.session({"prepared": link, "receiver": rx}) as session:

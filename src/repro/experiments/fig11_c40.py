@@ -1,23 +1,17 @@
-"""Fig. 11 — C40 versus SNR (thin wrapper over the Fig. 10 runner)."""
+"""Fig. 11 — C40 versus SNR: Fig. 10's sweep over the real part of C40-hat.
+
+``run`` is :data:`SPEC` bound to :func:`repro.experiments.sweep.run_sweep`;
+see :mod:`repro.experiments.fig10_c42` for the stream layout.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
 
-from repro.experiments import fig10_c42
-from repro.experiments.common import ExperimentResult
-from repro.utils.rng import RngLike
+from repro.experiments.fig10_c42 import cumulant_spec
+from repro.experiments.sweep import run_sweep
+
+SPEC = cumulant_spec("fig11", "11", "c40", 1.0)
 
 
-def run(
-    snrs_db: Sequence[float] = (5, 7, 9, 11, 13, 15, 17),
-    waveforms_per_point: int = 10,
-    rng: RngLike = None,
-) -> ExperimentResult:
-    """Sweep C40-hat over SNR for both waveform classes."""
-    return fig10_c42.run(
-        snrs_db=snrs_db,
-        waveforms_per_point=waveforms_per_point,
-        statistic="c40",
-        rng=rng,
-    )
+run = partial(run_sweep, SPEC)

@@ -23,8 +23,7 @@ from typing import Any, Dict, List, Mapping
 import numpy as np
 
 from repro.defense.detector import calibrate_threshold
-from repro.experiments.common import prepare_authentic, prepare_emulated
-from repro.experiments.defense_common import distance_trial
+from repro.experiments.defense_common import defense_context, statistic_trial
 from repro.experiments.sweep import (
     PointSpec,
     ScenarioSupport,
@@ -32,9 +31,7 @@ from repro.experiments.sweep import (
     SweepPlan,
     SweepReduction,
     SweepSpec,
-    resolve_channel_factory,
     resolve_detector,
-    resolve_receiver,
     run_sweep,
 )
 
@@ -62,25 +59,14 @@ def _plan(config: Mapping[str, Any]) -> SweepPlan:
         )):
             streams.append(StreamSpec(
                 key=f"snr{snr:g}.{split}.{label}", rng_slot=4 * i + j,
-                budget=budgets[split], trial=distance_trial,
-                static_args=(label, "quadrature", False, snr),
+                budget=budgets[split], trial=statistic_trial,
+                static_args=(label, "quadrature", False, snr, "de2"),
             ))
         points.append(PointSpec(
             key=f"snr{snr:g}", streams=tuple(streams),
             meta={"snr_db": snr},
         ))
     return SweepPlan(points=tuple(points), rng_slots=4 * len(snrs))
-
-
-def _context(
-    config: Mapping[str, Any], base: np.random.Generator
-) -> Dict[str, Any]:
-    return {
-        "zigbee": prepare_authentic(),
-        "emulated": prepare_emulated(rng=base),
-        "receiver": resolve_receiver(config, "defense"),
-        "channel_factory": resolve_channel_factory(config),
-    }
 
 
 def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
@@ -144,7 +130,7 @@ SPEC = SweepSpec(
     },
     fingerprint=_fingerprint,
     plan=_plan,
-    context=_context,
+    context=defense_context,
     columns=_columns,
     rows=_rows,
     detector=resolve_detector,

@@ -77,15 +77,16 @@ _ENTRIES = [
     ExperimentEntry("fig6", "constellation diagrams, AWGN vs real",
                     fig6_constellation.run),
     ExperimentEntry("fig7", "Hamming distance distributions",
-                    fig7_hamming.run, trials_param="num_packets"),
+                    fig7_hamming.run, spec=fig7_hamming.SPEC,
+                    trials_param="num_packets"),
     ExperimentEntry("fig8", "cyclic-prefix baseline failure",
                     fig8_cp_repetition.run),
     ExperimentEntry("fig9", "phase/chip baseline failures",
                     fig9_possible_strategies.run),
     ExperimentEntry("fig10", "C42 vs SNR", fig10_c42.run,
-                    trials_param="waveforms_per_point"),
+                    spec=fig10_c42.SPEC, trials_param="waveforms_per_point"),
     ExperimentEntry("fig11", "C40 vs SNR", fig11_c40.run,
-                    trials_param="waveforms_per_point"),
+                    spec=fig11_c40.SPEC, trials_param="waveforms_per_point"),
     ExperimentEntry("fig12", "calibrated threshold defense test",
                     fig12_defense.run, spec=fig12_defense.SPEC),
     ExperimentEntry("fig13", "RSSI vs distance (table in Fig. 13)",

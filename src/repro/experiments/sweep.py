@@ -1,7 +1,7 @@
 """The declarative sweep layer: every Monte Carlo driver is one spec.
 
-All of the paper's Monte Carlo sweeps (Tables II/IV/V, Figs. 12-14)
-share one shape: an axis of points, one or more independent trial
+All of the paper's Monte Carlo sweeps (Tables II/IV/V, Figs. 7 and
+10-14) share one shape: an axis of points, one or more independent trial
 streams per point, a fixed or adaptive per-stream budget, and a
 reduction from stream outcomes to table rows.  A driver declares a
 :class:`SweepSpec` (axis -> :class:`PointSpec`/:class:`StreamSpec`
@@ -54,11 +54,7 @@ from repro.experiments.adaptive import (
 )
 from repro.experiments.checkpoint import open_checkpoint_store
 from repro.experiments.common import ExperimentResult
-from repro.experiments.engine import (
-    EngineSession,
-    IncrementalRun,
-    MonteCarloEngine,
-)
+from repro.experiments.engine import IncrementalRun, MonteCarloEngine
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import get_event_stream
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -541,16 +537,6 @@ def apply_scenario(
 # ---------------------------------------------------------------------------
 # The runner
 # ---------------------------------------------------------------------------
-
-
-def standalone_session(context: Dict[str, Any]) -> EngineSession:
-    """A serial engine session for one-off collections outside a sweep.
-
-    :func:`repro.experiments.defense_common.collect_statistics` and
-    similar helpers use this when no caller-supplied session exists;
-    sweeps themselves always go through :func:`run_sweep`.
-    """
-    return MonteCarloEngine().session(context)
 
 
 class _OpenStream:

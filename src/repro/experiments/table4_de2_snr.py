@@ -18,20 +18,17 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Mapping
 
-import numpy as np
-
-from repro.experiments.common import prepare_authentic, prepare_emulated
-from repro.experiments.defense_common import distance_trial, mean_or_nan
+from repro.experiments.defense_common import (
+    class_means,
+    defense_context,
+    snr_class_plan,
+)
 from repro.experiments.sweep import (
-    PointSpec,
     ScenarioSupport,
-    StreamSpec,
     SweepPlan,
     SweepReduction,
     SweepSpec,
-    resolve_channel_factory,
     resolve_detector,
-    resolve_receiver,
     run_sweep,
 )
 
@@ -51,34 +48,7 @@ def _fingerprint(config: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _plan(config: Mapping[str, Any]) -> SweepPlan:
-    snrs = list(config["snrs_db"])
-    per_point = config["waveforms_per_point"]
-    chip_source = config["chip_source"]
-    points = []
-    for i, snr in enumerate(snrs):
-        streams = tuple(
-            StreamSpec(
-                key=f"snr{snr:g}.{label}", rng_slot=2 * i + offset,
-                budget=per_point, trial=distance_trial,
-                static_args=(label, chip_source, False, snr),
-            )
-            for offset, label in enumerate(("zigbee", "emulated"))
-        )
-        points.append(PointSpec(
-            key=f"snr{snr:g}", streams=streams, meta={"snr_db": snr},
-        ))
-    return SweepPlan(points=tuple(points), rng_slots=2 * len(snrs))
-
-
-def _context(
-    config: Mapping[str, Any], base: np.random.Generator
-) -> Dict[str, Any]:
-    return {
-        "zigbee": prepare_authentic(),
-        "emulated": prepare_emulated(rng=base),
-        "receiver": resolve_receiver(config, "defense"),
-        "channel_factory": resolve_channel_factory(config),
-    }
+    return snr_class_plan(config, config["chip_source"], "de2")
 
 
 def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
@@ -94,12 +64,7 @@ def _columns(config: Mapping[str, Any], adaptive: bool) -> List[str]:
 def _rows(reduction: SweepReduction) -> None:
     for point in reduction.plan.points:
         snr = point.meta["snr_db"]
-        means: Dict[str, float] = {}
-        trials_used = 0
-        for label in ("zigbee", "emulated"):
-            outcome = reduction.outcomes[f"{point.key}.{label}"]
-            means[label] = mean_or_nan(outcome.values)
-            trials_used += outcome.trials_used
+        means, trials_used = class_means(reduction, point)
         paper = PAPER_TABLE4.get(int(snr), (float("nan"), float("nan")))
         row = {
             "snr_db": snr,
@@ -135,7 +100,7 @@ SPEC = SweepSpec(
     },
     fingerprint=_fingerprint,
     plan=_plan,
-    context=_context,
+    context=defense_context,
     columns=_columns,
     rows=_rows,
     detector=resolve_detector,

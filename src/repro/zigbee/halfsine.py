@@ -38,6 +38,17 @@ def pulse_energy(samples_per_chip: int) -> float:
     return float(np.sum(pulse**2))
 
 
+def matched_filter_chip_noise_variance(
+    sample_noise_variance: float, samples_per_chip: int
+) -> float:
+    """Noise power per matched-filter soft chip given per-sample noise.
+
+    The soft chip is ``sum(Re(r) p) / E_p`` over one pulse, so complex
+    sample noise of variance ``sigma^2`` contributes ``sigma^2 / (2 E_p)``.
+    """
+    return sample_noise_variance / (2.0 * pulse_energy(samples_per_chip))
+
+
 def shape_rail(rail_chips: np.ndarray, samples_per_chip: int) -> np.ndarray:
     """Shape one rail's antipodal chips (+/-1) with non-overlapping pulses.
 

@@ -22,10 +22,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError
 from repro.zigbee.chips import chip_table
 from repro.zigbee.constants import CHIPS_PER_SYMBOL, NUM_SYMBOLS
-from repro.zigbee.spreading import DespreadDecision
+from repro.zigbee.spreading import (
+    DespreadDecision,
+    despread_decisions,
+    min_hamming_despread,
+    one_sequence,
+)
 
 #: Number of unmasked chips the MSK correlator uses per symbol.
 MSK_USABLE_CHIPS = CHIPS_PER_SYMBOL - 1
@@ -79,74 +84,20 @@ class MskDespreader:
 
     def despread_sequence(self, freq_chips: Sequence[int]) -> DespreadDecision:
         """Decode one 32-chip frequency-sign block (chip 0 ignored)."""
-        block = np.asarray(freq_chips, dtype=np.int64)
-        if block.size != CHIPS_PER_SYMBOL:
-            raise ConfigurationError(
-                f"expected {CHIPS_PER_SYMBOL} chips, got {block.size}"
-            )
-        usable = block[1:]
-        distances = np.count_nonzero(self._table != usable[None, :], axis=1)
-        order = np.argsort(distances, kind="stable")
-        best, runner_up = int(order[0]), int(order[1])
-        best_distance = int(distances[best])
-        symbol = best if best_distance <= self.correlation_threshold else None
-        return DespreadDecision(
-            symbol=symbol,
-            hamming_distance=best_distance,
-            runner_up_distance=int(distances[runner_up]),
-        )
+        return self.despread(one_sequence(freq_chips))[0]
 
     def despread_arrays(
         self, freq_chips: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Array-form masked despreading of a (..., chips) sign stream.
 
-        Mirrors :meth:`DsssDespreader.despread_arrays`: the last axis
-        must be whole 32-chip sequences (chip 0 of each is masked) and
-        rejected sequences carry symbol ``-1``.  Integer-exact.
+        :func:`repro.zigbee.spreading.min_hamming_despread` on the MSK
+        table, with chip 0 of each sequence masked.
         """
-        stream = np.asarray(freq_chips, dtype=np.int64)
-        if stream.shape[-1] % CHIPS_PER_SYMBOL != 0:
-            raise DecodingError(
-                f"chip stream of {stream.shape[-1]} is not a whole "
-                f"number of symbols"
-            )
-        leading = stream.shape[:-1]
-        per_row = stream.shape[-1] // CHIPS_PER_SYMBOL
-        out_shape = leading + (per_row,)
-        if stream.size == 0:
-            empty = np.zeros(out_shape, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        blocks = stream.reshape(-1, CHIPS_PER_SYMBOL)[:, 1:]
-        distances = np.count_nonzero(
-            blocks[:, None, :] != self._table[None, :, :], axis=2
-        )
-        order = np.argsort(distances, axis=1, kind="stable")
-        best = order[:, 0]
-        runner_up = order[:, 1]
-        rows = np.arange(blocks.shape[0])
-        best_distances = distances[rows, best]
-        runner_distances = distances[rows, runner_up]
-        symbols = np.where(best_distances <= self.correlation_threshold, best, -1)
-        return (
-            symbols.reshape(out_shape),
-            best_distances.reshape(out_shape),
-            runner_distances.reshape(out_shape),
+        return min_hamming_despread(
+            freq_chips, self._table, self.correlation_threshold, first_chip=1
         )
 
     def despread(self, freq_chips: Sequence[int]) -> List[DespreadDecision]:
-        """Decode a frequency-sign stream; length must be whole symbols.
-
-        Vectorized like :meth:`DsssDespreader.despread`: one broadcasted
-        distance computation over all symbols (masked chip 0 excluded).
-        """
-        stream = np.asarray(freq_chips, dtype=np.int64)
-        symbols, best_distances, runner_distances = self.despread_arrays(stream)
-        return [
-            DespreadDecision(
-                symbol=int(symbols[i]) if symbols[i] >= 0 else None,
-                hamming_distance=int(best_distances[i]),
-                runner_up_distance=int(runner_distances[i]),
-            )
-            for i in range(symbols.size)
-        ]
+        """Decode a frequency-sign stream; length must be whole symbols."""
+        return despread_decisions(*self.despread_arrays(freq_chips))

@@ -34,10 +34,15 @@ from repro.zigbee.constants import (
     MAX_PSDU_BYTES,
 )
 from repro.zigbee.frame import MacFrame, PhyFrame
+from repro.zigbee.halfsine import matched_filter_chip_noise_variance
 from repro.zigbee.msk import MskDespreader
 from repro.zigbee.oqpsk import OqpskDemodulator
 from repro.zigbee.quadrature import QuadratureDemodulator
-from repro.zigbee.spreading import DespreadDecision, DsssDespreader
+from repro.zigbee.spreading import (
+    DespreadDecision,
+    DsssDespreader,
+    despread_decisions,
+)
 from repro.zigbee.synchronizer import SyncResult, Synchronizer
 
 #: preamble (8) + SFD (2) + PHR (2) symbols precede the PSDU.
@@ -165,16 +170,9 @@ class ReceiveDiagnostics:
     @property
     def decisions(self) -> List[DespreadDecision]:
         """Per-symbol despread outcomes as decision objects (lazy)."""
-        return [
-            DespreadDecision(
-                symbol=int(self.symbol_array[i])
-                if self.symbol_array[i] >= 0
-                else None,
-                hamming_distance=int(self.distance_array[i]),
-                runner_up_distance=int(self.runner_distance_array[i]),
-            )
-            for i in range(self.symbol_array.size)
-        ]
+        return despread_decisions(
+            self.symbol_array, self.distance_array, self.runner_distance_array
+        )
 
     @property
     def symbols(self) -> List[Optional[int]]:
@@ -197,6 +195,36 @@ class ReceiveDiagnostics:
         """Frequency-discriminator soft samples of the PSDU only."""
         start = self.psdu_symbol_offset * CHIPS_PER_SYMBOL
         return self.quadrature_soft_chips[start:]
+
+    def psdu_chips(self, source: str) -> np.ndarray:
+        """PSDU chip samples of one chip source (see :data:`CHIP_SOURCES`).
+
+        ``"quadrature"`` gives the frequency-discriminator soft chips and
+        ``"matched_filter"`` the coherent matched-filter soft chips.
+        """
+        if source == "quadrature":
+            return self.psdu_quadrature_soft_chips
+        if source == "matched_filter":
+            return self.psdu_soft_chips
+        raise ConfigurationError(
+            f"unknown chip source {source!r}; valid sources: {CHIP_SOURCES}"
+        )
+
+    def chip_noise_variance(
+        self, source: str, samples_per_chip: int
+    ) -> Optional[float]:
+        """Noise power per soft chip of ``source`` from the noise floor.
+
+        Only the linear matched-filter source has one; the quadrature
+        discriminator is non-linear in the noise, so no subtraction
+        applies.  ``None`` as well when the reception has no noise-floor
+        estimate.
+        """
+        if self.noise_variance is None or source != "matched_filter":
+            return None
+        return matched_filter_chip_noise_variance(
+            self.noise_variance, samples_per_chip
+        )
 
     @property
     def psdu_symbols(self) -> List[Optional[int]]:

@@ -58,6 +58,77 @@ class DespreadDecision:
         return self.symbol is not None
 
 
+def min_hamming_despread(
+    chips: np.ndarray, table: np.ndarray, threshold: int, first_chip: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-Hamming-distance decoding of a (..., chips) hard-decision stack.
+
+    The one despreading kernel: ``chips`` is a 1-D chip stream or any
+    stack whose last axis is a whole number of 32-chip sequences;
+    ``table`` holds one codeword per symbol over chips ``first_chip..31``
+    of a sequence (the MSK table masks chip 0).  Returns ``(symbols,
+    distances, runner_up_distances)`` int64 arrays with one entry per
+    sequence (leading axes preserved).  A sequence whose best distance
+    exceeds ``threshold`` carries symbol ``-1``, so the hot receive path
+    never materializes per-symbol :class:`DespreadDecision` objects.
+    Integer-exact, so any batching gives the same entries.
+    """
+    chip_array = np.asarray(chips, dtype=np.int64)
+    if chip_array.shape[-1] % CHIPS_PER_SYMBOL != 0:
+        raise DecodingError(
+            f"chip stream of {chip_array.shape[-1]} is not a whole "
+            f"number of symbols"
+        )
+    out_shape = chip_array.shape[:-1] + (
+        chip_array.shape[-1] // CHIPS_PER_SYMBOL,
+    )
+    if chip_array.size == 0:
+        empty = np.zeros(out_shape, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    blocks = chip_array.reshape(-1, CHIPS_PER_SYMBOL)[:, first_chip:]
+    # distances[i, s] = Hamming distance of block i to codeword s.
+    distances = np.count_nonzero(
+        blocks[:, None, :] != table[None, :, :], axis=2
+    )
+    order = np.argsort(distances, axis=1, kind="stable")
+    rows = np.arange(blocks.shape[0])
+    best_distances = distances[rows, order[:, 0]]
+    runner_distances = distances[rows, order[:, 1]]
+    symbols = np.where(best_distances <= threshold, order[:, 0], -1)
+    return (
+        symbols.reshape(out_shape),
+        best_distances.reshape(out_shape),
+        runner_distances.reshape(out_shape),
+    )
+
+
+def despread_decisions(
+    symbols: np.ndarray, distances: np.ndarray, runner_distances: np.ndarray
+) -> List[DespreadDecision]:
+    """Flat kernel outputs as decision objects (symbol ``-1`` -> ``None``)."""
+    return [
+        DespreadDecision(
+            symbol=int(symbol) if symbol >= 0 else None,
+            hamming_distance=int(distance),
+            runner_up_distance=int(runner),
+        )
+        for symbol, distance, runner in zip(
+            symbols.reshape(-1), distances.reshape(-1),
+            runner_distances.reshape(-1),
+        )
+    ]
+
+
+def one_sequence(chips: Sequence[int]) -> np.ndarray:
+    """Exactly one 32-chip block as int64, or :class:`ConfigurationError`."""
+    block = np.asarray(chips, dtype=np.int64).reshape(-1)
+    if block.size != CHIPS_PER_SYMBOL:
+        raise ConfigurationError(
+            f"expected {CHIPS_PER_SYMBOL} chips, got {block.size}"
+        )
+    return block
+
+
 class DsssDespreader:
     """Hard-decision DSSS decoder with a Hamming-distance threshold."""
 
@@ -71,81 +142,19 @@ class DsssDespreader:
 
     def despread_sequence(self, chips: Sequence[int]) -> DespreadDecision:
         """Decode exactly one 32-chip hard-decision sequence."""
-        chip_array = np.asarray(chips, dtype=np.int64)
-        if chip_array.size != CHIPS_PER_SYMBOL:
-            raise ConfigurationError(
-                f"expected {CHIPS_PER_SYMBOL} chips, got {chip_array.size}"
-            )
-        distances = np.count_nonzero(self._table != chip_array[None, :], axis=1)
-        order = np.argsort(distances, kind="stable")
-        best, runner_up = int(order[0]), int(order[1])
-        best_distance = int(distances[best])
-        decision_symbol = best if best_distance <= self.correlation_threshold else None
-        return DespreadDecision(
-            symbol=decision_symbol,
-            hamming_distance=best_distance,
-            runner_up_distance=int(distances[runner_up]),
-        )
+        return self.despread(one_sequence(chips))[0]
 
     def despread_arrays(
         self, chips: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-form despreading of a (...,  chips) hard-decision stream.
-
-        Accepts a 1-D chip stream or any stack whose last axis is a whole
-        number of 32-chip sequences, and returns ``(symbols, distances,
-        runner_up_distances)`` int64 arrays with one entry per sequence
-        (leading axes preserved).  Rejected sequences carry symbol ``-1``
-        instead of ``None`` so the hot receive path never materializes
-        per-symbol :class:`DespreadDecision` objects.  Integer-exact, so
-        batched and scalar calls agree bit-for-bit.
-        """
-        chip_array = np.asarray(chips, dtype=np.int64)
-        if chip_array.shape[-1] % CHIPS_PER_SYMBOL != 0:
-            raise DecodingError(
-                f"chip stream of {chip_array.shape[-1]} is not a whole "
-                f"number of symbols"
-            )
-        leading = chip_array.shape[:-1]
-        per_row = chip_array.shape[-1] // CHIPS_PER_SYMBOL
-        out_shape = leading + (per_row,)
-        if chip_array.size == 0:
-            empty = np.zeros(out_shape, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        blocks = chip_array.reshape(-1, CHIPS_PER_SYMBOL)
-        # distances[i, s] = Hamming distance of block i to codeword s.
-        distances = np.count_nonzero(
-            blocks[:, None, :] != self._table[None, :, :], axis=2
-        )
-        order = np.argsort(distances, axis=1, kind="stable")
-        best = order[:, 0]
-        runner_up = order[:, 1]
-        rows = np.arange(blocks.shape[0])
-        best_distances = distances[rows, best]
-        runner_distances = distances[rows, runner_up]
-        symbols = np.where(best_distances <= self.correlation_threshold, best, -1)
-        return (
-            symbols.reshape(out_shape),
-            best_distances.reshape(out_shape),
-            runner_distances.reshape(out_shape),
+        """:func:`min_hamming_despread` against the standard chip table."""
+        return min_hamming_despread(
+            chips, self._table, self.correlation_threshold
         )
 
     def despread(self, chips: Sequence[int]) -> List[DespreadDecision]:
-        """Decode a chip stream; length must be a multiple of 32.
-
-        Vectorized: distances for all symbols are computed in one
-        (symbols x 16) broadcast rather than a Python loop per symbol.
-        """
-        chip_array = np.asarray(chips, dtype=np.int64)
-        symbols, best_distances, runner_distances = self.despread_arrays(chip_array)
-        return [
-            DespreadDecision(
-                symbol=int(symbols[i]) if symbols[i] >= 0 else None,
-                hamming_distance=int(best_distances[i]),
-                runner_up_distance=int(runner_distances[i]),
-            )
-            for i in range(symbols.size)
-        ]
+        """Decode a chip stream; length must be a multiple of 32."""
+        return despread_decisions(*self.despread_arrays(chips))
 
     def decode_symbols(self, chips: Sequence[int]) -> Tuple[List[Optional[int]], List[int]]:
         """Convenience wrapper returning (symbols, hamming distances)."""

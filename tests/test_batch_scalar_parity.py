@@ -202,18 +202,13 @@ class TestTrialParity:
             "receiver": defense_receiver(),
             "detector": CumulantDetector(),
         }
-        args = ("link", "quadrature", False, 15.0)
+        # Rows are plain D_E^2 floats (or None); the verdict is a
+        # function of D_E^2, so equal rows mean equal verdicts.
+        args = ("link", "quadrature", False, 15.0, "de2")
         batched = _session_rows(statistic_trial, context, 4, args, 4)
         single = _session_rows(statistic_trial, context, 4, args, 1)
-        assert len(batched) == len(single)
-        for got, want in zip(batched, single):
-            if want is None:
-                assert got is None
-                continue
-            assert got is not None
-            assert got.distance_squared == want.distance_squared
-            assert got.snr_db == want.snr_db
-            assert got.detection.hypothesis == want.detection.hypothesis
+        assert any(row is not None for row in single)
+        assert batched == single
 
     def test_link_trial_batch_matches_scalar(self):
         from repro.experiments.fig14_error_rates import _link_trial

@@ -9,6 +9,9 @@ import pytest
 from repro.errors import ConfigurationError, TrialExecutionError
 from repro.experiments import engine as engine_module
 from repro.experiments import (
+    fig7_hamming,
+    fig10_c42,
+    fig11_c40,
     fig12_defense,
     fig13_rssi,
     fig14_error_rates,
@@ -308,6 +311,9 @@ class TestDriverResume:
 
 #: A tiny config per sweep spec: every stream finishes in a few trials.
 TINY = {
+    "fig7": (fig7_hamming, {"snr_db": 12.0, "num_packets": 3}),
+    "fig10": (fig10_c42, {"snrs_db": (12,), "waveforms_per_point": 3}),
+    "fig11": (fig11_c40, {"snrs_db": (12,), "waveforms_per_point": 3}),
     "table2": (table2_attack_awgn, {"snrs_db": (15, 17), "trials": 4}),
     "table4": (table4_de2_snr, {"snrs_db": (12,), "waveforms_per_point": 3}),
     "table5": (table5_de2_distance,

@@ -11,7 +11,7 @@ from repro.attack.emulator import EmulationConfig, WaveformEmulationAttack
 from repro.channel.awgn import AwgnChannel
 from repro.channel.environment import RealEnvironment
 from repro.defense.detector import CumulantDetector, Hypothesis, calibrate_threshold
-from repro.experiments.defense_common import defense_receiver, extract_chips
+from repro.experiments.defense_common import defense_receiver
 from repro.link.stack import EmulationAttackLink, ZigBeeDirectLink
 from repro.zigbee.receiver import ReceiverConfig, ZigBeeReceiver
 from repro.zigbee.transmitter import ZigBeeTransmitter
@@ -93,8 +93,6 @@ class TestDefenseNarrative:
 
     def test_defense_works_in_real_environment(self):
         """Distance + fading + offsets: |C40| + noise correction separates."""
-        from repro.experiments.defense_common import chip_noise_variance_for
-
         detector = CumulantDetector(use_abs_c40=True)
         receiver = defense_receiver()
         direct = ZigBeeDirectLink(receiver=receiver)
@@ -104,8 +102,8 @@ class TestDefenseNarrative:
         def statistic_of(outcome):
             packet = outcome.packet
             chips = packet.diagnostics.psdu_soft_chips
-            noise = chip_noise_variance_for(
-                packet, "matched_filter", receiver.config.samples_per_chip
+            noise = packet.diagnostics.chip_noise_variance(
+                "matched_filter", receiver.config.samples_per_chip
             )
             return detector.statistic(
                 chips, chip_noise_variance=noise

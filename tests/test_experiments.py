@@ -11,6 +11,7 @@ from repro.experiments import (
     fig8_cp_repetition,
     fig9_possible_strategies,
     fig10_c42,
+    fig11_c40,
     fig12_defense,
     fig14_error_rates,
     table1_frequency_points,
@@ -150,9 +151,7 @@ class TestFigures:
         assert abs(emulated[-1] + 1) > abs(zigbee[-1] + 1)
 
     def test_fig11_statistic_switch(self):
-        result = fig10_c42.run(
-            snrs_db=(17,), waveforms_per_point=3, statistic="c40", rng=0
-        )
+        result = fig11_c40.run(snrs_db=(17,), waveforms_per_point=3, rng=0)
         assert result.experiment_id == "fig11"
         assert result.rows[0]["zigbee_c40"] > 0.9
 

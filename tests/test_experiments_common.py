@@ -13,14 +13,14 @@ from repro.experiments.common import (
     prepare_emulated,
     transmit_batch,
 )
+from repro.errors import ConfigurationError
 from repro.experiments.defense_common import (
-    chip_noise_variance_for,
-    collect_statistics,
     defense_receiver,
-    extract_chips,
-    matched_filter_chip_noise_variance,
-    mean_distance_squared,
+    mean_or_nan,
+    statistic_trial,
 )
+from repro.utils.rng import spawn_rngs
+from repro.zigbee.halfsine import matched_filter_chip_noise_variance
 
 
 def transmit_one(link, snr_db, seed=None):
@@ -69,14 +69,29 @@ class TestTransmitOnce:
         assert packet_delivered(authentic_link, packet)  # same frame content
 
 
+def distances(link, snr_db, count, seed, **overrides):
+    """D_E^2 of ``count`` receptions that reached the defense."""
+    options = {"chip_source": "quadrature", "noise_corrected": False}
+    options.update(overrides)
+    context = {
+        "link": link,
+        "receiver": defense_receiver(),
+        "detector": CumulantDetector(),
+    }
+    args = ("link", options["chip_source"], options["noise_corrected"],
+            snr_db, "de2")
+    rows = statistic_trial(context, args, spawn_rngs(seed, count))
+    return [row for row in rows if row is not None]
+
+
 class TestDefenseCommon:
     def test_extract_chips_sources(self, authentic_link):
         packet = transmit_one(authentic_link, None)
-        quadrature = extract_chips(packet, "quadrature")
-        matched = extract_chips(packet, "matched_filter")
+        quadrature = packet.diagnostics.psdu_chips("quadrature")
+        matched = packet.diagnostics.psdu_chips("matched_filter")
         assert quadrature.size > 0 and matched.size > 0
-        with pytest.raises(ValueError):
-            extract_chips(packet, "esp")
+        with pytest.raises(ConfigurationError):
+            packet.diagnostics.psdu_chips("esp")
 
     def test_chip_noise_conversion_value(self):
         # sps=2: pulse energy 2 -> chip noise = sigma^2 / 4.
@@ -84,27 +99,48 @@ class TestDefenseCommon:
 
     def test_chip_noise_none_for_quadrature(self, authentic_link):
         packet = transmit_one(authentic_link, 10.0, seed=1)
-        assert chip_noise_variance_for(packet, "quadrature") is None
-        assert chip_noise_variance_for(packet, "matched_filter") is not None
+        assert packet.diagnostics.chip_noise_variance("quadrature", 2) is None
+        assert packet.diagnostics.chip_noise_variance(
+            "matched_filter", 2
+        ) is not None
 
-    def test_collect_statistics_counts(self, authentic_link):
-        samples = collect_statistics(
-            authentic_link, CumulantDetector(), 15.0, count=4, rng=2
-        )
+    def test_statistic_trial_counts(self, authentic_link):
+        samples = distances(authentic_link, 15.0, count=4, seed=2)
         assert 1 <= len(samples) <= 4
-        assert all(s.distance_squared >= 0 for s in samples)
-        assert mean_distance_squared(samples) >= 0
+        assert all(value >= 0 for value in samples)
+        assert mean_or_nan(samples) >= 0
 
     def test_mean_of_empty_is_nan(self):
-        assert np.isnan(mean_distance_squared([]))
+        assert np.isnan(mean_or_nan([]))
 
     def test_noise_corrected_statistics_smaller(self, authentic_link):
-        plain = collect_statistics(
-            authentic_link, CumulantDetector(), 8.0, count=5, rng=3,
+        plain = distances(
+            authentic_link, 8.0, count=5, seed=3,
             chip_source="matched_filter", noise_corrected=False,
         )
-        corrected = collect_statistics(
-            authentic_link, CumulantDetector(), 8.0, count=5, rng=3,
+        corrected = distances(
+            authentic_link, 8.0, count=5, seed=3,
             chip_source="matched_filter", noise_corrected=True,
         )
-        assert mean_distance_squared(corrected) < mean_distance_squared(plain)
+        assert mean_or_nan(corrected) < mean_or_nan(plain)
+
+    def test_statistic_trial_reports_the_named_cumulant(self, emulated_link):
+        context = {
+            "link": emulated_link,
+            "receiver": defense_receiver(),
+            "detector": CumulantDetector(),
+        }
+        rows = {
+            statistic: statistic_trial(
+                context, ("link", "quadrature", False, 15.0, statistic),
+                spawn_rngs(4, 2),
+            )
+            for statistic in ("de2", "c42", "c40")
+        }
+        assert all(type(value) is float for value in rows["c42"])
+        assert rows["c42"] != rows["c40"] != rows["de2"]
+        with pytest.raises(ConfigurationError, match="statistic"):
+            statistic_trial(
+                context, ("link", "quadrature", False, 15.0, "c63"),
+                spawn_rngs(4, 1),
+            )

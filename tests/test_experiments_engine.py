@@ -268,17 +268,3 @@ class TestMergePrimitives:
         parent.merge_state(worker.dump_state())
         assert parent.registry.counters["events"].value == 4
         assert parent.root.children["stage"].call_count == 1
-
-
-class TestBenchEngine:
-    def test_batch_of_one_leg_keeps_the_schema_fields(self):
-        from repro.experiments.bench import measure_engine_throughput
-
-        baseline = measure_engine_throughput(
-            "table2", trials=2, workers=1, adaptive=False
-        )
-        assert baseline["schema"] == 3
-        assert baseline["rows_identical"]
-        assert {
-            "scalar_seconds", "scalar_trials_per_second", "batched_speedup",
-        } <= set(baseline)

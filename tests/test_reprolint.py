@@ -467,7 +467,6 @@ class TestR012NoDirectEngineWiring:
             "src/repro/experiments/sweep.py",
             "src/repro/experiments/engine.py",
             "src/repro/experiments/checkpoint.py",
-            "src/repro/experiments/bench.py",
             "src/repro/experiments/__init__.py",
         ):
             assert codes(snippet, filename=home) == set()

@@ -28,6 +28,9 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import (
+    fig7_hamming,
+    fig10_c42,
+    fig11_c40,
     fig12_defense,
     fig13_rssi,
     fig14_error_rates,
@@ -52,6 +55,9 @@ BASELINE_RUN = os.path.join(
 )
 
 DRIVERS = {
+    "fig7": fig7_hamming,
+    "fig10": fig10_c42,
+    "fig11": fig11_c40,
     "table2": table2_attack_awgn,
     "table4": table4_de2_snr,
     "table5": table5_de2_distance,
@@ -101,7 +107,9 @@ class TestOracleParity:
         assert result.columns == oracle["columns"]
         assert result_cells(result, oracle["columns"]) == oracle["rows"]
 
-    @pytest.mark.parametrize("experiment_id", ["table2", "table4"])
+    @pytest.mark.parametrize(
+        "experiment_id", ["table2", "table4", "fig7", "fig10", "fig11"]
+    )
     def test_parallel_rows_match_oracle(self, experiment_id):
         oracle = load_oracle(experiment_id, "fixed")
         result = run_from_oracle(experiment_id, oracle, workers=2)
@@ -119,6 +127,14 @@ class TestOracleParity:
         oracle = load_oracle("table2", "fixed")
         unbatched = run_from_oracle("table2", oracle, chunk_size=1)
         assert result_cells(unbatched, oracle["columns"]) == oracle["rows"]
+
+    @pytest.mark.parametrize("experiment_id", ["fig7", "fig10", "fig11"])
+    def test_batch_of_one_rows_match_oracle(self, experiment_id):
+        """The fixed oracles were recorded from the standalone drivers
+        these specs replaced; every trial a batch of one keeps them."""
+        oracle = load_oracle(experiment_id, "fixed")
+        result = run_from_oracle(experiment_id, oracle, chunk_size=1)
+        assert result_cells(result, oracle["columns"]) == oracle["rows"]
 
     @pytest.mark.parametrize("engine", [
         {"chunk_size": 1}, {}, {"workers": 2},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DecodingError
 from repro.zigbee.chips import chips_for_symbol
+from repro.zigbee.msk import MskDespreader, msk_chip_table
 from repro.zigbee.spreading import DsssDespreader, spread_symbols
 
 
@@ -87,3 +88,38 @@ class TestDespreading:
         decision = despreader.despread_sequence(chips)
         assert decision.symbol == symbol
         assert decision.hamming_distance == len(error_positions)
+
+
+class TestOneDespreadKernel:
+    """Both hard-decision despreaders are the one min-Hamming kernel."""
+
+    @pytest.mark.parametrize("despreader", [
+        DsssDespreader(correlation_threshold=8),
+        MskDespreader(correlation_threshold=8),
+    ], ids=["dsss", "msk"])
+    def test_sequence_is_a_batch_of_one(self, despreader):
+        blocks = np.random.default_rng(5).integers(0, 2, size=(40, 32))
+        symbols, distances, runners = despreader.despread_arrays(blocks)
+        for block, symbol, distance, runner in zip(
+            blocks, symbols[:, 0], distances[:, 0], runners[:, 0]
+        ):
+            decision = despreader.despread_sequence(block)
+            assert decision.symbol == (symbol if symbol >= 0 else None)
+            assert decision.hamming_distance == distance
+            assert decision.runner_up_distance == runner
+        assert despreader.despread(blocks.reshape(-1)) == [
+            despreader.despread_sequence(block) for block in blocks
+        ]
+
+    def test_msk_masks_chip_zero(self):
+        freq = msk_chip_table()[6].astype(np.int64)
+        flipped = freq.copy()
+        flipped[0] ^= 1
+        despreader = MskDespreader()
+        assert despreader.despread_sequence(flipped) == \
+            despreader.despread_sequence(freq)
+        assert despreader.despread_sequence(freq).symbol == 6
+
+    def test_msk_rejects_partial_sequence(self):
+        with pytest.raises(ConfigurationError):
+            MskDespreader().despread_sequence(np.zeros(31, dtype=np.uint8))
